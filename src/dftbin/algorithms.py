@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 from .complexity import OpCounts, OpRecorder
 from .cyclotomic import cyclotomic
-from .numtheory import bin_order, totient
+# totient is unused here, but perfbench/layers.py wraps it by this name.
+from .numtheory import bin_order, totient  # noqa: F401
 from .polynomial import reduce_by_intpoly, reduce_by_pk
 
 __all__ = [
@@ -85,7 +86,11 @@ def _require_signal(v) -> int:
     return n
 
 
-def _eval_remainder(R, N: int, k: int, rec: OpRecorder) -> complex:
+def _start(v, k: int) -> tuple[BinSpec, OpRecorder]:
+    return BinSpec.for_bin(_require_signal(v), k), OpRecorder()
+
+
+def _eval_remainder(R, spec: BinSpec, rec: OpRecorder) -> complex:
     # Dot product against the prestored powers W**m; each real tap costs at
     # most 2 real multiplications, matching the classic per-tap accounting.
     acc = complex(R[0]) if R else 0j
@@ -93,8 +98,13 @@ def _eval_remainder(R, N: int, k: int, rec: OpRecorder) -> complex:
         c = R[m]
         if c == 0:
             continue
-        acc = rec.add(acc, rec.mul(c, root_power(N, k, m)))
+        acc = rec.add(acc, rec.mul(c, root_power(spec.N, spec.k, m)))
     return acc
+
+
+def _eval_goertzel(R, spec: BinSpec, rec: OpRecorder) -> complex:
+    r0, r1 = reduce_by_pk(R, spec.A, rec)
+    return rec.add(r0, rec.mul(r1, spec.W))
 
 
 def naive_bin(v, k: int) -> BinResult:
@@ -110,37 +120,23 @@ def naive_bin(v, k: int) -> BinResult:
 
 def goertzel_bin(v, k: int) -> BinResult:
     """Second-order real reduction, then one evaluation at W."""
-    N = _require_signal(v)
-    spec = BinSpec.for_bin(N, k)
-    rec = OpRecorder()
-    r0, r1 = reduce_by_pk(v, spec.A, rec)
-    value = rec.add(r0, rec.mul(r1, spec.W))
-    return BinResult(value, rec.counts(), "goertzel")
+    spec, rec = _start(v, k)
+    return BinResult(_eval_goertzel(v, spec, rec), rec.counts(), "goertzel")
 
 
 def jco_bin(v, k: int) -> BinResult:
     """Cyclotomic reduction to totient(L) taps, evaluated at W."""
-    N = _require_signal(v)
-    spec = BinSpec.for_bin(N, k)
-    rec = OpRecorder()
+    spec, rec = _start(v, k)
     R = reduce_by_intpoly(v, cyclotomic(spec.L), rec)
-    value = _eval_remainder(R, N, spec.k, rec)
-    return BinResult(value, rec.counts(), "jco")
+    return BinResult(_eval_remainder(R, spec, rec), rec.counts(), "jco")
 
 
 def jco_goertzel_bin(v, k: int) -> BinResult:
     """Cyclotomic reduction chained with the degree-2 reduction.
 
-    When totient(L) <= 2 the two stages coincide, so the second reduction
-    is skipped and the remainder is evaluated directly.
+    When totient(L) <= 2 the two stages coincide: the cyclotomic remainder
+    already has at most 2 taps, and the degree-2 stage passes it through.
     """
-    N = _require_signal(v)
-    spec = BinSpec.for_bin(N, k)
-    rec = OpRecorder()
+    spec, rec = _start(v, k)
     R = reduce_by_intpoly(v, cyclotomic(spec.L), rec)
-    if totient(spec.L) > 2:
-        r0, r1 = reduce_by_pk(R, spec.A, rec)
-        value = rec.add(r0, rec.mul(r1, spec.W))
-    else:
-        value = _eval_remainder(R, N, spec.k, rec)
-    return BinResult(value, rec.counts(), "jco_goertzel")
+    return BinResult(_eval_goertzel(R, spec, rec), rec.counts(), "jco_goertzel")

@@ -29,10 +29,6 @@ EXIT_SHAPE = 3
 ALG_TAGS = ("naive", "goertzel", "jco", "jco-goertzel", "stream")
 
 
-class ParseError(Exception):
-    pass
-
-
 class ShapeError(Exception):
     pass
 
@@ -55,14 +51,14 @@ def read_signal(path: str) -> list[complex]:
                     else:
                         raise ValueError
                 except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad sample line {line!r}")
+                    raise ValueError(f"{path}:{lineno}: bad sample line {line!r}")
                 if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                    raise ParseError(f"{path}:{lineno}: non-finite sample")
+                    raise ValueError(f"{path}:{lineno}: non-finite sample")
                 samples.append(z)
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     if not samples:
-        raise ParseError(f"{path}: no samples")
+        raise ValueError(f"{path}: no samples")
     return samples
 
 
@@ -80,7 +76,7 @@ def write_signal(path: str, samples, header: str | None = None) -> None:
 
 
 def _fmt_real(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
+    if x.is_integer() and abs(x) < 1e15:
         return str(int(x))
     return repr(x)
 
@@ -111,9 +107,9 @@ def _parse_table_spec(text: str) -> tuple[int, list[int]]:
         N = int(n_part)
         ks = [int(s) for s in k_part.split(",") if s != ""]
     except ValueError:
-        raise ParseError(f"bad table spec {text!r}, expected 'N:k1,k2,...'")
+        raise ValueError(f"bad table spec {text!r}, expected 'N:k1,k2,...'")
     if N < 1 or not ks:
-        raise ParseError(f"bad table spec {text!r}, expected 'N:k1,k2,...'")
+        raise ValueError(f"bad table spec {text!r}, expected 'N:k1,k2,...'")
     return (N, ks)
 
 
@@ -170,7 +166,7 @@ def cmd_filter(args) -> int:
 def cmd_dtmf(args) -> int:
     if args.synth is not None:
         if args.out is None:
-            raise ParseError("--synth requires --out PATH")
+            raise ValueError("--synth requires --out PATH")
         blocks = []
         for i, digit in enumerate(args.synth):
             blocks.extend(synthesize(digit, DEFAULT_CONFIG, 1.0,
@@ -179,7 +175,7 @@ def cmd_dtmf(args) -> int:
         return EXIT_OK
     samples = read_signal(args.detect)
     if any(z.imag != 0 for z in samples):
-        raise ParseError("dtmf blocks must be real-valued")
+        raise ValueError("dtmf blocks must be real-valued")
     N = DEFAULT_CONFIG.block_size
     if len(samples) % N != 0:
         raise ShapeError(f"sample count {len(samples)} is not a multiple of {N}")
@@ -241,9 +237,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except ShapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE

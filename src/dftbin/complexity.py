@@ -11,10 +11,11 @@ per-constant cost. Classification depends only on the constant, never on the
 data, except that an exactly-zero multiplicand performs no work at all (the
 warm-up steps of a shift register).
 
-Additions are counted per real component: an add or subtract whose operands
-are both nonzero counts 1, so a full complex + complex add counts 2 and adds
-against a still-zero register are free. This is the declared convention for
-every "measured adds" figure produced by this package.
+Additions are counted per real component: an add whose operands are both
+nonzero counts 1, so a full complex + complex add counts 2 and adds against
+a still-zero register are free. A subtraction is an add of the negated
+operand and counts the same. This is the declared convention for every
+"measured adds" figure produced by this package.
 
 Constants produced by cos/sin carry float roundoff, so magnitudes are snapped
 to the trivial set with a 1e-12 tolerance. The nearest distinct bin constant
@@ -42,7 +43,6 @@ __all__ = [
     "OpRecorder",
     "TRIVIAL_MAGNITUDES",
     "SNAP_TOLERANCE",
-    "const_mult_cost",
     "nominal_costs",
     "complexity_table",
     "REFERENCE_TABLE_SPECS",
@@ -89,15 +89,6 @@ def _const_cost(c) -> int:
 _COST_CACHE: dict[complex, int] = {}
 
 
-def const_mult_cost(c) -> int:
-    """Real multiplications needed for (real value) * (constant c) under the policy."""
-    key = complex(c)
-    cached = _COST_CACHE.get(key)
-    if cached is None:
-        cached = _COST_CACHE[key] = _const_cost(key)
-    return cached
-
-
 class OpRecorder:
     """Counting recorder threaded through an algorithm run.
 
@@ -128,13 +119,6 @@ class OpRecorder:
         if x.imag != 0 and y.imag != 0:
             self.adds += 1
         return x + y
-
-    def sub(self, x, y):
-        if x.real != 0 and y.real != 0:
-            self.adds += 1
-        if x.imag != 0 and y.imag != 0:
-            self.adds += 1
-        return x - y
 
     def counts(self) -> OpCounts:
         return OpCounts(self.mults, self.adds)

@@ -9,22 +9,12 @@ import functools
 import math
 
 __all__ = [
-    "gcd",
     "factorize",
     "mobius",
     "totient",
     "divisors",
     "bin_order",
 ]
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative integers, not both zero."""
-    if a < 0 or b < 0:
-        raise ValueError(f"gcd expects nonnegative arguments, got ({a}, {b})")
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
 
 
 @functools.lru_cache(maxsize=None)

@@ -19,7 +19,6 @@ __all__ = [
     "int_exact_div",
     "reduce_by_intpoly",
     "reduce_by_pk",
-    "eval_poly",
 ]
 
 
@@ -97,7 +96,7 @@ def reduce_by_intpoly(signal: list, modulus: list[int],
     if counter is None:
         counter = OpRecorder()
     deg = len(modulus) - 1
-    taps = [(j, modulus[j]) for j in range(deg) if modulus[j] != 0]
+    taps = [(j, -modulus[j]) for j in range(deg) if modulus[j] != 0]
     rem = list(signal)
     if len(rem) < deg:
         rem += [0j] * (deg - len(rem))
@@ -107,8 +106,8 @@ def reduce_by_intpoly(signal: list, modulus: list[int],
         if c == 0:
             continue
         base = i - deg
-        for j, mj in taps:
-            rem[base + j] = counter.sub(rem[base + j], counter.mul(c, mj))
+        for j, neg_mj in taps:
+            rem[base + j] = counter.add(rem[base + j], counter.mul(c, neg_mj))
     return rem[:deg]
 
 
@@ -131,16 +130,8 @@ def reduce_by_pk(signal: list, A: float,
     s1 = 0j
     s2 = 0j
     for i in range(n - 1, 0, -1):
-        s0 = counter.sub(counter.add(signal[i], counter.mul(s1, A)), s2)
+        s0 = counter.add(counter.add(signal[i], counter.mul(s1, A)), -s2)
         s2 = s1
         s1 = s0
-    r0 = counter.sub(signal[0], s2)
+    r0 = counter.add(signal[0], -s2)
     return (r0, s1)
-
-
-def eval_poly(p: list, z: complex) -> complex:
-    """Horner evaluation of a polynomial at z (0 for the empty polynomial)."""
-    acc = 0j
-    for c in reversed(p):
-        acc = acc * z + c
-    return acc

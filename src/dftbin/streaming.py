@@ -26,7 +26,6 @@ __all__ = [
     "new_state",
     "push",
     "finalize",
-    "first_order_reference",
 ]
 
 _RESIDUAL_LIMIT = 1e-10
@@ -115,7 +114,7 @@ def _ar_step(state: FilterState, sample) -> None:
     for j in range(1, deg + 1):
         bj = b[j]
         if bj:
-            acc = rec.sub(acc, rec.mul(w[deg - j], bj))
+            acc = rec.add(acc, rec.mul(w[deg - j], -bj))
     w.pop(0)
     w.append(acc)
 
@@ -149,19 +148,3 @@ def finalize(state: FilterState, spec: FilterSpec) -> BinResult:
     for m in range(1, len(spec.a)):
         value = rec.add(value, rec.mul(w[top - m], spec.a[m]))
     return BinResult(value, rec.counts(), "stream")
-
-
-def first_order_reference(v, k: int) -> complex:
-    """One-pole complex reference filter for the same bin value.
-
-    Cross-check only: one complex multiplication per sample, not part of
-    any cost claim.
-    """
-    n = len(v)
-    if n == 0:
-        raise ValueError("empty signal")
-    wbar = root_power(n, -k)
-    y = 0j
-    for sample in v:
-        y = sample + wbar * y
-    return wbar * y

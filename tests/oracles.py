@@ -40,10 +40,29 @@ def poly_longdiv(num, den):
     return q, num[:dn]
 
 
+def eval_poly(p, z):
+    """Horner evaluation of a polynomial at z (0 for the empty polynomial)."""
+    acc = 0j
+    for c in reversed(p):
+        acc = acc * z + c
+    return acc
+
+
 def dft_bin(v, k):
     """Straight DFT sum, computed with nothing from the package."""
     n = len(v)
     return sum(v[m] * cmath.exp(-2j * cmath.pi * k * m / n) for m in range(n))
+
+
+def first_order_reference(v, k):
+    """One-pole complex filter y <- v_n + Wbar*y, Wbar = exp(+2j pi k / N),
+    whose output times Wbar is bin k: one complex multiplication per sample."""
+    n = len(v)
+    wbar = cmath.exp(2j * cmath.pi * k / n)
+    y = 0j
+    for sample in v:
+        y = sample + wbar * y
+    return wbar * y
 
 
 def primitive_root_indices(N, L):

@@ -7,7 +7,7 @@ import pytest
 from dftbin.algorithms import (BinSpec, goertzel_bin, jco_bin,
                                jco_goertzel_bin, naive_bin, root_power)
 from dftbin.complexity import nominal_costs
-from dftbin.numtheory import bin_order
+from dftbin.numtheory import bin_order, totient
 from oracles import dft_bin
 
 ALGS = (naive_bin, goertzel_bin, jco_bin, jco_goertzel_bin)
@@ -101,6 +101,21 @@ def test_jco_goertzel_measured_mults():
     for k in (1, 2, 3, 4):
         assert jco_goertzel_bin(_rand_real(rng, 83), k).counts.real_mults == 82
     assert jco_goertzel_bin(_rand_real(rng, 12), 4).counts.real_mults == 2
+
+
+def test_jco_goertzel_equals_jco_when_stages_coincide():
+    # totient(L) <= 2: the degree-2 stage passes the cyclotomic remainder
+    # through, so value and counts match jco exactly.
+    rng = random.Random(22)
+    for N in range(1, 49):
+        v_real, v_complex = _rand_real(rng, N), _rand_complex(rng, N)
+        for k in range(N):
+            if totient(bin_order(N, k)) > 2:
+                continue
+            for v in (v_real, v_complex):
+                a, b = jco_goertzel_bin(v, k), jco_bin(v, k)
+                assert repr(a.value) == repr(b.value)
+                assert a.counts == b.counts
 
 
 def test_empty_signal_rejected():

@@ -78,6 +78,12 @@ def test_bin_agreement_across_tags(tmp_path, capsys):
     assert all(abs(z - values[0]) <= 1e-8 for z in values)
 
 
+def test_bin_overflow_prints_inf(tmp_path, capsys):
+    path = _write(tmp_path, "big.txt", "1e308\n1e308\n")
+    assert main(["bin", "--k", "0", "--input", path]) == 0
+    assert capsys.readouterr().out == "Vk = inf + 0j\n"
+
+
 def test_bin_length_mismatch_exit3(tmp_path, capsys):
     path = _write(tmp_path, "v.txt", "1\n2\n3\n4\n")
     assert main(["bin", "--n", "8", "--k", "1", "--input", path]) == 3

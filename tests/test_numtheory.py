@@ -3,20 +3,7 @@ import random
 
 import pytest
 
-from dftbin.numtheory import bin_order, divisors, factorize, gcd, mobius, totient
-
-
-@pytest.mark.parametrize("a,b,expected", [(12, 8, 4), (83, 4, 1), (1024, 128, 128)])
-def test_gcd_examples(a, b, expected):
-    assert gcd(a, b) == expected
-
-
-def test_gcd_rejects_bad_input():
-    with pytest.raises(ValueError):
-        gcd(0, 0)
-    with pytest.raises(ValueError):
-        gcd(-4, 2)
-    assert gcd(0, 5) == 5
+from dftbin.numtheory import bin_order, divisors, factorize, mobius, totient
 
 
 @pytest.mark.parametrize("n,expected", [

@@ -5,9 +5,9 @@ import pytest
 
 from dftbin.complexity import OpRecorder
 from dftbin.cyclotomic import cyclotomic
-from dftbin.polynomial import (eval_poly, int_exact_div, int_mul,
-                               reduce_by_intpoly, reduce_by_pk, trim)
-from oracles import poly_longdiv, poly_mul
+from dftbin.polynomial import (int_exact_div, int_mul, reduce_by_intpoly,
+                               reduce_by_pk, trim)
+from oracles import eval_poly, poly_longdiv, poly_mul
 
 
 def test_int_mul_examples():

@@ -7,9 +7,8 @@ import pytest
 from dftbin.algorithms import jco_bin, naive_bin
 from dftbin.cyclotomic import cyclotomic
 from dftbin.numtheory import totient
-from dftbin.streaming import (design_filter, finalize, first_order_reference,
-                              new_state, push)
-from oracles import numerator_product
+from dftbin.streaming import design_filter, finalize, new_state, push
+from oracles import first_order_reference, numerator_product
 
 SQ2 = math.sqrt(2.0)
 
