@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .complexity import OpCounts, OpRecorder
 from .cyclotomic import cyclotomic
 # totient is unused here, but perfbench/layers.py wraps it by this name.
-from .numtheory import bin_order, totient  # noqa: F401
+from .numtheory import bin_index, bin_order, totient  # noqa: F401
 from .polynomial import reduce_by_intpoly, reduce_by_pk
 
 __all__ = [
@@ -65,7 +65,7 @@ class BinSpec:
     def for_bin(cls, N: int, k: int) -> "BinSpec":
         if N < 1:
             raise ValueError(f"signal length must be >= 1, got {N}")
-        k = k % N
+        k = bin_index(N, k)
         A = 2.0 * math.cos(2.0 * math.pi * k / N)
         if abs(A - round(A)) <= 1e-12:  # exact at the trivial angles
             A = float(round(A))
@@ -79,15 +79,10 @@ class BinResult:
     algorithm: str
 
 
-def _require_signal(v) -> int:
-    n = len(v)
-    if n == 0:
-        raise ValueError("empty signal")
-    return n
-
-
 def _start(v, k: int) -> tuple[BinSpec, OpRecorder]:
-    return BinSpec.for_bin(_require_signal(v), k), OpRecorder()
+    if len(v) == 0:
+        raise ValueError("empty signal")
+    return BinSpec.for_bin(len(v), k), OpRecorder()
 
 
 def _eval_remainder(R, spec: BinSpec, rec: OpRecorder) -> complex:
@@ -109,12 +104,10 @@ def _eval_goertzel(R, spec: BinSpec, rec: OpRecorder) -> complex:
 
 def naive_bin(v, k: int) -> BinResult:
     """Direct summation of v_n * W**(k n): the reference oracle."""
-    N = _require_signal(v)
-    k = k % N
-    rec = OpRecorder()
+    spec, rec = _start(v, k)
     acc = complex(v[0])
-    for n in range(1, N):
-        acc = rec.add(acc, rec.mul(v[n], root_power(N, k, n)))
+    for n in range(1, spec.N):
+        acc = rec.add(acc, rec.mul(v[n], root_power(spec.N, spec.k, n)))
     return BinResult(acc, rec.counts(), "naive")
 
 

@@ -7,12 +7,14 @@ All functions are pure and safe to call concurrently.
 
 import functools
 import math
+import operator
 
 __all__ = [
     "factorize",
     "mobius",
     "totient",
     "divisors",
+    "bin_index",
     "bin_order",
 ]
 
@@ -73,12 +75,25 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+def bin_index(N: int, k) -> int:
+    """Bin index k reduced modulo N (DFT bins are periodic in k).
+
+    k must be integral (an int or anything with __index__); a float such as
+    1.5, even 2.0, is rejected with ValueError rather than rounded.
+    """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"bin index must be an integer, got {k!r}") from None
+    return k % N
+
+
 def bin_order(N: int, k: int) -> int:
     """Multiplicative order L of the N-th root of unity raised to k.
 
-    k may be any integer; it is reduced modulo N first (DFT bins are
-    periodic in k), so k = 0 gives L = 1. L always divides N.
+    k may be any integer; it is reduced modulo N first, so k = 0 gives
+    L = 1. L always divides N.
     """
     if N < 1:
         raise ValueError(f"bin_order expects N >= 1, got {N}")
-    return N // math.gcd(N, k % N)
+    return N // math.gcd(N, bin_index(N, k))

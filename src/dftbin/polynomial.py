@@ -82,9 +82,10 @@ def reduce_by_intpoly(signal: list, modulus: list[int],
     """Remainder of a signal polynomial modulo a monic integer polynomial.
 
     The highest-degree signal coefficient is consumed first, as in the
-    autoregressive realization; when the modulus coefficients are all in
-    {0, +-1} (every cyclotomic below order 105) the reduction performs no
-    multiplications, only additions and subtractions.
+    autoregressive realization. Each step visits only the nonzero taps, and
+    a tap of +-1 is applied as an add of +-c, so when the modulus
+    coefficients are all in {0, +-1} (every cyclotomic below order 105) the
+    reduction performs no multiplications, only additions and subtractions.
 
     Returns deg(modulus) coefficients (possibly zero-padded).
     """
@@ -107,7 +108,13 @@ def reduce_by_intpoly(signal: list, modulus: list[int],
             continue
         base = i - deg
         for j, neg_mj in taps:
-            rem[base + j] = counter.add(rem[base + j], counter.mul(c, neg_mj))
+            if neg_mj == 1:
+                term = c
+            elif neg_mj == -1:
+                term = -c
+            else:
+                term = counter.mul(c, neg_mj)
+            rem[base + j] = counter.add(rem[base + j], term)
     return rem[:deg]
 
 

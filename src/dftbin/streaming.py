@@ -6,18 +6,23 @@ followed by a single final dot product against totient(L) numerator taps.
 Samples are consumed in arrival order with no input buffering; the numerator
 multiplications happen once, at finalize time.
 
+The register is a fixed-length deque of totient(L) values, so the shift is
+one append, and a push visits only the nonzero feedback taps, applying a
++-1 tap as an add: O(nnz(Phi_L)) work per sample, not O(totient(L)).
+
 The numerator comes from synthetic division of the (sign-normalized)
 cyclotomic polynomial by (1 - Wbar*u), Wbar = exp(+2j pi k / N): one exact
 recurrence instead of the phi(L)-1 factor product, which is kept only as a
 test oracle. The division residual is checked at design time.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .algorithms import BinResult, root_power
 from .complexity import OpRecorder
 from .cyclotomic import cyclotomic
-from .numtheory import bin_order, totient
+from .numtheory import bin_index, bin_order, totient
 
 __all__ = [
     "FilterSpec",
@@ -70,11 +75,15 @@ class FilterSpec:
 class FilterState:
     """Mutable run state: exclusively owned by one execution context.
 
-    The shift register is kept in arrival order (w[0] oldest, w[-1] newest).
+    w is the shift register, a deque of fixed length totient(L) kept in
+    arrival order (w[0] oldest, w[-1] newest): appending a value drops the
+    oldest. taps holds the nonzero feedback taps as (register index, -b_j)
+    pairs in ascending j, so a push costs O(nnz(Phi_L)).
     """
 
     spec: FilterSpec
-    w: list
+    w: deque
+    taps: tuple[tuple[int, int], ...]
     samples_consumed: int = 0
     rec: OpRecorder = field(default_factory=OpRecorder)
 
@@ -83,7 +92,7 @@ def design_filter(N: int, k: int) -> FilterSpec:
     """Design the streaming filter for bin k of an N-point transform."""
     if N < 1:
         raise ValueError(f"signal length must be >= 1, got {N}")
-    k = k % N
+    k = bin_index(N, k)
     L = bin_order(N, k)
     deg = totient(L)
     den = cyclotomic(L)
@@ -101,21 +110,25 @@ def design_filter(N: int, k: int) -> FilterSpec:
 
 
 def new_state(spec: FilterSpec) -> FilterState:
-    return FilterState(spec, [0j] * len(spec.a))
+    deg = len(spec.a)
+    # Register values j back sit at w[-j]; ascending j keeps the float sum
+    # in the order of the feedback polynomial.
+    taps = tuple((-j, -bj) for j, bj in enumerate(spec.b) if j and bj)
+    return FilterState(spec, deque([0j] * deg, maxlen=deg), taps)
 
 
 def _ar_step(state: FilterState, sample) -> None:
-    # acc = sample - sum(b_j * w_{n-j}); register values j back sit at w[-j].
+    # acc = sample - sum(b_j * w_{n-j}) over the nonzero b_j.
     w = state.w
-    b = state.spec.b
     rec = state.rec
     acc = sample
-    deg = len(w)
-    for j in range(1, deg + 1):
-        bj = b[j]
-        if bj:
-            acc = rec.add(acc, rec.mul(w[deg - j], -bj))
-    w.pop(0)
+    for i, neg_bj in state.taps:
+        if neg_bj == 1:
+            acc = rec.add(acc, w[i])
+        elif neg_bj == -1:
+            acc = rec.add(acc, -w[i])
+        else:
+            acc = rec.add(acc, rec.mul(w[i], neg_bj))
     w.append(acc)
 
 
@@ -134,7 +147,8 @@ def finalize(state: FilterState, spec: FilterSpec) -> BinResult:
     """One zero-input step, then the single numerator dot product.
 
     Requires exactly N pushed samples; returns the bin value with the
-    counts accumulated over the whole run.
+    counts accumulated over the whole run. The product starts from the
+    newest register value, since a[0] = 1.
     """
     if state.samples_consumed != spec.N:
         raise ValueError(
@@ -142,9 +156,8 @@ def finalize(state: FilterState, spec: FilterSpec) -> BinResult:
     _ar_step(state, 0j)
     state.samples_consumed += 1
     rec = state.rec
-    w = state.w
-    top = len(w) - 1
-    value = rec.mul(w[top], spec.a[0])
-    for m in range(1, len(spec.a)):
-        value = rec.add(value, rec.mul(w[top - m], spec.a[m]))
+    newest_first = reversed(state.w)
+    value = next(newest_first)
+    for wm, am in zip(newest_first, spec.a[1:]):
+        value = rec.add(value, rec.mul(wm, am))
     return BinResult(value, rec.counts(), "stream")

@@ -6,6 +6,8 @@ division, plain products, plain DFT sums.
 
 import cmath
 
+from dftbin.complexity import OpRecorder
+
 
 def poly_mul(a, b):
     """Dense product of two coefficient lists (any numeric type)."""
@@ -63,6 +65,28 @@ def first_order_reference(v, k):
     for sample in v:
         y = sample + wbar * y
     return wbar * y
+
+
+def dense_stream(v, spec):
+    """The streaming filter as first written: a list register shifted with
+    pop(0), every one of the totient(L) feedback slots visited per sample,
+    and every tap (a[0] = 1 included) applied through OpRecorder.mul.
+    Returns (value, OpCounts); the library's sparse register must match it."""
+    rec = OpRecorder()
+    deg = len(spec.a)
+    w = [0j] * deg
+    for sample in [*v, 0j]:
+        acc = sample
+        for j in range(1, deg + 1):
+            bj = spec.b[j]
+            if bj:
+                acc = rec.add(acc, rec.mul(w[deg - j], -bj))
+        w.pop(0)
+        w.append(acc)
+    value = rec.mul(w[-1], spec.a[0])
+    for m in range(1, deg):
+        value = rec.add(value, rec.mul(w[-1 - m], spec.a[m]))
+    return value, rec.counts()
 
 
 def primitive_root_indices(N, L):

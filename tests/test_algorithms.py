@@ -6,7 +6,7 @@ import pytest
 
 from dftbin.algorithms import (BinSpec, goertzel_bin, jco_bin,
                                jco_goertzel_bin, naive_bin, root_power)
-from dftbin.complexity import nominal_costs
+from dftbin.complexity import measure, nominal_costs
 from dftbin.numtheory import bin_order, totient
 from oracles import dft_bin
 
@@ -122,6 +122,13 @@ def test_empty_signal_rejected():
     for alg in ALGS:
         with pytest.raises(ValueError):
             alg([], 0)
+
+
+@pytest.mark.parametrize("alg", ["naive", "goertzel", "jco", "jco_goertzel", "stream"])
+def test_non_integral_bin_rejected(alg):
+    for k in (1.5, 2.0, "1"):
+        with pytest.raises(ValueError, match="bin index must be an integer"):
+            measure(alg, [1.0, 2.0, 3.0, 4.0], k)
 
 
 def test_bin_index_periodic():

@@ -78,9 +78,10 @@ def test_bin_agreement_across_tags(tmp_path, capsys):
     assert all(abs(z - values[0]) <= 1e-8 for z in values)
 
 
-def test_bin_overflow_prints_inf(tmp_path, capsys):
+@pytest.mark.parametrize("alg", ["naive", "goertzel", "jco", "jco-goertzel", "stream"])
+def test_bin_overflow_prints_inf(tmp_path, capsys, alg):
     path = _write(tmp_path, "big.txt", "1e308\n1e308\n")
-    assert main(["bin", "--k", "0", "--input", path]) == 0
+    assert main(["bin", "--k", "0", "--alg", alg, "--input", path]) == 0
     assert capsys.readouterr().out == "Vk = inf + 0j\n"
 
 

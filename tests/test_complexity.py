@@ -103,6 +103,11 @@ def test_nominal_costs_rejects_bad_length():
         nominal_costs(0, 1)
 
 
+def test_nominal_costs_rejects_non_integral_bin():
+    with pytest.raises(ValueError, match="bin index must be an integer"):
+        nominal_costs(8, 1.5)
+
+
 def test_reference_table_rows():
     assert complexity_table(REFERENCE_TABLE_SPECS) == REFERENCE_ROWS
 

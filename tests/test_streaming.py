@@ -5,10 +5,11 @@ import random
 import pytest
 
 from dftbin.algorithms import jco_bin, naive_bin
+from dftbin.complexity import measure
 from dftbin.cyclotomic import cyclotomic
 from dftbin.numtheory import totient
 from dftbin.streaming import design_filter, finalize, new_state, push
-from oracles import first_order_reference, numerator_product
+from oracles import dense_stream, first_order_reference, numerator_product
 
 SQ2 = math.sqrt(2.0)
 
@@ -74,19 +75,19 @@ def test_push_examples():
     state = new_state(spec)
     for sample in (1.0, 0.0, 0.0, 0.0):
         push(state, sample)
-    assert state.w == [1, 0, 0, 0]
+    assert list(state.w) == [1, 0, 0, 0]
 
     spec = design_filter(8, 0)        # running sum
     state = new_state(spec)
     for sample in (1, 2, 3):
         push(state, sample)
-    assert state.w == [6]
+    assert list(state.w) == [6]
 
     spec = design_filter(12, 6)       # alternating sum
     state = new_state(spec)
     for sample in (1, 1, 1):
         push(state, sample)
-    assert state.w == [1]
+    assert list(state.w) == [1]
 
 
 def test_push_limit_enforced():
@@ -146,6 +147,26 @@ def test_streaming_matches_block_jco():
                 got = finalize(state, spec).value
                 want = jco_bin(v, k).value
                 assert abs(got - want) <= 1e-10 * N * scale, (N, k)
+
+
+def test_sparse_register_matches_dense_reference():
+    rng = random.Random(43)
+    for N in range(1, 61):
+        for v in (_rand_real(rng, N), _rand_complex(rng, N)):
+            for k in range(N):
+                got = measure("stream", v, k)
+                want, counts = dense_stream(v, design_filter(N, k))
+                assert got.value == want, (N, k)
+                assert got.counts == counts, (N, k)
+
+
+def test_streaming_large_length():
+    # 32768 register slots with 2 nonzero feedback taps: the push loop must
+    # not visit the zero slots, or this takes minutes.
+    N = 65536
+    v = _rand_real(random.Random(47), N)
+    got = measure("stream", v, 1).value
+    assert abs(got - jco_bin(v, 1).value) <= 1e-9 * N
 
 
 def test_no_multiplications_before_finalize():
