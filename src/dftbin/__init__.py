@@ -1,13 +1,14 @@
 """dftbin: compute a single DFT bin three ways, counting every real operation.
 
-Block algorithms live in dftbin.algorithms, the sample-at-a-time filter in
-dftbin.streaming, the cost model in dftbin.complexity, and a DTMF demo in
+Block algorithms and the cost model live in dftbin.algorithms, the
+sample-at-a-time filter in dftbin.streaming, the tag registry behind
+measure() and the nominal costs in dftbin.complexity, and a DTMF demo in
 dftbin.dtmf. The `dftbin` console script fronts all of it.
 """
 
-from .algorithms import (BinResult, BinSpec, goertzel_bin, jco_bin,
+from .algorithms import (BinResult, BinSpec, OpCounts, goertzel_bin, jco_bin,
                          jco_goertzel_bin, naive_bin)
-from .complexity import OpCounts, measure, nominal_costs
+from .complexity import measure, nominal_costs
 from .cyclotomic import cyclotomic, is_ternary
 from .dtmf import DtmfConfig, detect, synthesize
 from .numtheory import bin_order, totient

@@ -12,19 +12,44 @@ evaluate the short remainder there. Goertzel uses the fixed degree-2 real
 minimal polynomial 1 - A*x + x**2; "jco" uses the cyclotomic polynomial of
 the bin's order L (integer taps, multiplication-free below order 105);
 "jco_goertzel" chains both reductions, which is cheapest of the three.
+Each run meters itself with its own OpRecorder, under the policy below.
+
+Cost policy
+-----------
+A real multiplication by a constant c is *trivial* (free) when |c| is 0, 1,
+or 2 (sign changes and one-bit shifts need no multiplier). Multiplying a real
+value by a complex constant a+bj costs one real multiplication per *distinct*
+nontrivial magnitude among {|a|, |b|}: when |a| == |b| the product is computed
+once and reused for both components. Multiplying a complex value doubles the
+per-constant cost. Classification depends only on the constant, never on the
+data, except that an exactly-zero multiplicand performs no work at all (the
+warm-up steps of a shift register).
+
+Additions are counted per real component: an add whose operands are both
+nonzero counts 1, so a full complex + complex add counts 2 and adds against
+a still-zero register are free. A subtraction is an add of the negated
+operand and counts the same. This is the declared convention for every
+"measured adds" figure produced by this package.
+
+Constants produced by cos/sin carry float roundoff, so magnitudes are snapped
+to the trivial set with a 1e-12 tolerance. The nearest distinct bin constant
+differs by far more than that for any DFT length this library targets.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
 
-from .complexity import OpCounts, OpRecorder
 from .cyclotomic import cyclotomic
 # totient is unused here, but perfbench/layers.py wraps it by this name.
 from .numtheory import bin_index, bin_order, totient  # noqa: F401
 from .polynomial import reduce_by_intpoly, reduce_by_pk
 
 __all__ = [
+    "OpCounts",
+    "OpRecorder",
+    "TRIVIAL_MAGNITUDES",
+    "SNAP_TOLERANCE",
     "BinSpec",
     "BinResult",
     "root_power",
@@ -33,6 +58,71 @@ __all__ = [
     "jco_bin",
     "jco_goertzel_bin",
 ]
+
+
+TRIVIAL_MAGNITUDES = (0.0, 1.0, 2.0)
+SNAP_TOLERANCE = 1e-12
+
+
+@dataclass
+class OpCounts:
+    """Tally of nontrivial real multiplications and real additions."""
+
+    real_mults: int = 0
+    real_adds: int = 0
+
+
+def _is_trivial_magnitude(m: float) -> bool:
+    return any(abs(m - t) <= SNAP_TOLERANCE for t in TRIVIAL_MAGNITUDES)
+
+
+def _const_cost(c) -> int:
+    a = abs(c.real)
+    b = abs(c.imag)
+    cost = 0
+    if not _is_trivial_magnitude(a):
+        cost += 1
+    if not _is_trivial_magnitude(b) and abs(a - b) > SNAP_TOLERANCE:
+        cost += 1
+    return cost
+
+
+_COST_CACHE: dict[complex, int] = {}
+
+
+class OpRecorder:
+    """Counting recorder threaded through an algorithm run.
+
+    Each run owns its recorder (no global state); the arithmetic performed
+    is exactly what an uninstrumented run would do, so values are identical.
+    """
+
+    __slots__ = ("mults", "adds")
+
+    def __init__(self):
+        self.mults = 0
+        self.adds = 0
+
+    def mul(self, value, const):
+        """value * const, charging the per-constant cost (doubled for complex data)."""
+        if value == 0:
+            return value * const
+        cost = _COST_CACHE.get(const)
+        if cost is None:
+            cost = _COST_CACHE[const] = _const_cost(complex(const))
+        if cost:
+            self.mults += cost if value.imag == 0 else 2 * cost
+        return value * const
+
+    def add(self, x, y):
+        if x.real != 0 and y.real != 0:
+            self.adds += 1
+        if x.imag != 0 and y.imag != 0:
+            self.adds += 1
+        return x + y
+
+    def counts(self) -> OpCounts:
+        return OpCounts(self.mults, self.adds)
 
 
 _QUARTER_TURNS = (1 + 0j, -1j, -1 + 0j, 1j)

@@ -5,8 +5,8 @@ multiplication counts), cyclo (cyclotomic coefficients), filter (streaming
 filter taps), dtmf (synthesize/detect tone blocks).
 
 Signal files are text: one sample per line as `re` or `re,im`, `#` starts
-a comment line, blank lines ignored. Exit codes: 0 ok, 2 parse/usage error,
-3 length or shape mismatch.
+a comment line, blank lines ignored. Exit codes: 0 ok, 2 parse/usage error
+or ArithmeticError (e.g. a failed filter design), 3 length or shape mismatch.
 """
 
 import argparse
@@ -14,8 +14,8 @@ import json
 import math
 import sys
 
-from .complexity import (REFERENCE_TABLE_SPECS, complexity_table, format_csv,
-                         format_table, measure)
+from .complexity import (ALGORITHMS, REFERENCE_TABLE_SPECS, complexity_table,
+                         format_csv, format_table, measure)
 from .cyclotomic import cyclotomic
 from .dtmf import DEFAULT_CONFIG, detect, synthesize
 from .streaming import design_filter
@@ -26,7 +26,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_SHAPE = 3
 
-ALG_TAGS = ("naive", "goertzel", "jco", "jco-goertzel", "stream")
+ALG_TAGS = tuple(t.replace("_", "-") for t in ALGORITHMS)
 
 
 class ShapeError(Exception):
@@ -240,7 +240,7 @@ def main(argv=None) -> int:
     except ShapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
-    except ValueError as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -7,11 +7,10 @@ that may cancel it). Integer coefficients are exact Python ints; signal
 polynomials hold complex (or real) numbers.
 
 The two remainder kernels stream coefficients from the highest degree down,
-exactly like the shift-register realizations of the block algorithms, and
-accept an OpRecorder so callers can meter their multiplications/additions.
+exactly like the shift-register realizations of the block algorithms. Their
+arithmetic goes through a required `counter`, any object with `add(x, y)`
+and `mul(value, const)`, such as the metering OpRecorder.
 """
-
-from .complexity import OpRecorder
 
 __all__ = [
     "trim",
@@ -35,12 +34,12 @@ def int_mul(a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
+    b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if ai == 0:
             continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
+        for j, bj in b_terms:
+            out[i + j] += ai * bj
     return out
 
 
@@ -63,22 +62,21 @@ def int_exact_div(num: list[int], den: list[int]) -> list[int]:
             raise ValueError("not exactly divisible")
         return []
     q = [0] * (len(num) - dn)
+    den_terms = [(j, dj) for j, dj in enumerate(den) if dj]
     for i in range(len(num) - 1, dn - 1, -1):
         c = num[i]
         if c == 0:
             continue
         qc = c // lead
         q[i - dn] = qc
-        for j, dj in enumerate(den):
-            if dj:
-                num[i - dn + j] -= qc * dj
+        for j, dj in den_terms:
+            num[i - dn + j] -= qc * dj
     if any(num):
         raise ValueError("not exactly divisible")
     return trim(q)
 
 
-def reduce_by_intpoly(signal: list, modulus: list[int],
-                      counter: OpRecorder | None = None) -> list:
+def reduce_by_intpoly(signal: list, modulus: list[int], counter) -> list:
     """Remainder of a signal polynomial modulo a monic integer polynomial.
 
     The highest-degree signal coefficient is consumed first, as in the
@@ -94,8 +92,6 @@ def reduce_by_intpoly(signal: list, modulus: list[int],
         raise ValueError("modulus must have degree >= 1")
     if modulus[-1] != 1:
         raise ValueError("modulus must be monic")
-    if counter is None:
-        counter = OpRecorder()
     deg = len(modulus) - 1
     taps = [(j, -modulus[j]) for j in range(deg) if modulus[j] != 0]
     rem = list(signal)
@@ -118,8 +114,7 @@ def reduce_by_intpoly(signal: list, modulus: list[int],
     return rem[:deg]
 
 
-def reduce_by_pk(signal: list, A: float,
-                 counter: OpRecorder | None = None) -> tuple[complex, complex]:
+def reduce_by_pk(signal: list, A: float, counter) -> tuple[complex, complex]:
     """Remainder (r0, r1) of a signal polynomial modulo 1 - A*x + x**2.
 
     Runs the second-order recursion s_n = v_n + A*s_{n+1} - s_{n+2} from the
@@ -127,8 +122,6 @@ def reduce_by_pk(signal: list, A: float,
     charged for a generic signal when A is nontrivial (the first step hits
     an empty register and is free).
     """
-    if counter is None:
-        counter = OpRecorder()
     n = len(signal)
     if n == 0:
         return (0j, 0j)

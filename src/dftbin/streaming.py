@@ -19,8 +19,7 @@ test oracle. The division residual is checked at design time.
 from collections import deque
 from dataclasses import dataclass, field
 
-from .algorithms import BinResult, root_power
-from .complexity import OpRecorder
+from .algorithms import BinResult, OpRecorder, root_power
 from .cyclotomic import cyclotomic
 from .numtheory import bin_index, bin_order, totient
 
@@ -31,6 +30,7 @@ __all__ = [
     "new_state",
     "push",
     "finalize",
+    "stream_bin",
 ]
 
 _RESIDUAL_LIMIT = 1e-10
@@ -161,3 +161,12 @@ def finalize(state: FilterState, spec: FilterSpec) -> BinResult:
     for wm, am in zip(newest_first, spec.a[1:]):
         value = rec.add(value, rec.mul(wm, am))
     return BinResult(value, rec.counts(), "stream")
+
+
+def stream_bin(v, k: int) -> BinResult:
+    """Bin k of v by design, push of every sample, finalize: the "stream" tag."""
+    spec = design_filter(len(v), k)
+    state = new_state(spec)
+    for sample in v:
+        push(state, sample)
+    return finalize(state, spec)

@@ -89,6 +89,52 @@ def dense_stream(v, spec):
     return value, rec.counts()
 
 
+def _mobius(n):
+    """Mobius function by trial division."""
+    sign = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def cyclotomic_kronecker(n):
+    """Coefficients of Phi_n (ascending) by Kronecker substitution.
+
+    Phi_n(x) = prod over d | n of (x**d - 1)**mu(n/d) is evaluated as one
+    exact integer at x = 2**32, and the coefficients are read back as
+    balanced base-2**32 digits: integer arithmetic only, no polynomial code.
+    Valid while every coefficient is below 2**31 in magnitude.
+    """
+    base = 1 << 32
+    num = den = 1
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        mu = _mobius(n // d)
+        if mu == 1:
+            num *= base ** d - 1
+        elif mu == -1:
+            den *= base ** d - 1
+    value, rem = divmod(num, den)
+    assert rem == 0 and value > 0
+    raw = value.to_bytes(4 * (value.bit_length() // 32 + 2), "little")
+    coeffs = []
+    borrow = 0
+    for i in range(0, len(raw), 4):
+        digit = int.from_bytes(raw[i:i + 4], "little") + borrow
+        borrow = int(digit >= base // 2)
+        coeffs.append(digit - borrow * base)
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
 def primitive_root_indices(N, L):
     """Indices i in [0, N) whose N-th root power has multiplicative order L."""
     import math

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dftbin
 from dftbin.cli import main, read_signal, write_signal
 
 
@@ -182,6 +187,23 @@ def test_dtmf_zero_file(tmp_path, capsys):
     write_signal(path, [0.0] * 205)
     assert main(["dtmf", "--detect", path]) == 0
     assert capsys.readouterr().out == "-\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["filter", "--n", "65537", "--k", "1"],
+    ["bin", "--k", "1", "--alg", "stream", "--input", "len65537.txt"],
+])
+def test_arithmetic_error_exit2_without_traceback(tmp_path, argv):
+    # design_filter raises ArithmeticError at (65537, 1): its residual is too large.
+    write_signal(str(tmp_path / "len65537.txt"), [0.0] * 65537)
+    src = str(Path(dftbin.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "dftbin.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: numerator design residual")
+    assert "Traceback" not in proc.stderr
 
 
 def test_dtmf_bad_digit_exit2(tmp_path, capsys):

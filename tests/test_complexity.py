@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from dftbin.complexity import (CSV_HEADER, OpCounts, OpRecorder,
-                               REFERENCE_TABLE_SPECS, complexity_table,
-                               format_csv, format_table, measure, nominal_costs)
+from dftbin.complexity import (CSV_HEADER, OpRecorder, REFERENCE_TABLE_SPECS,
+                               complexity_table, format_csv, format_table,
+                               measure, nominal_costs)
 
 SQ2 = math.sqrt(2.0)
 
@@ -32,10 +32,6 @@ REFERENCE_ROWS = [
     (120, 3, 120, 30, 16, 40),
     (120, 4, 120, 14, 8, 30),
 ]
-
-
-def test_opcounts_compose():
-    assert OpCounts(3, 7) + OpCounts(2, 1) == OpCounts(5, 8)
 
 
 @pytest.mark.parametrize("c,cost", [

@@ -6,7 +6,7 @@ from dftbin.cyclotomic import cyclotomic, is_ternary
 from dftbin.numtheory import bin_order, divisors, totient
 from dftbin.polynomial import int_mul
 from dftbin.algorithms import root_power
-from oracles import eval_poly
+from oracles import cyclotomic_kronecker, eval_poly
 
 
 def test_examples():
@@ -55,6 +55,11 @@ def test_ternary_examples():
 
 def test_ternary_below_105():
     assert all(is_ternary(n) for n in range(1, 105))
+
+
+@pytest.mark.parametrize("n", [105, 385, 1155, 2310, 4290, 30030])
+def test_matches_kronecker_oracle(n):
+    assert cyclotomic(n) == cyclotomic_kronecker(n)
 
 
 def test_105_has_minus_two():

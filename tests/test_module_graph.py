@@ -1,0 +1,42 @@
+"""The package's import graph: the modules form a DAG and every import sits
+at module top level, so no module has to defer an import to break a cycle."""
+
+import ast
+import graphlib
+from pathlib import Path
+
+import dftbin
+
+PACKAGE = Path(dftbin.__file__).resolve().parent
+
+
+def _relative_imports(tree):
+    deps = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            deps |= {node.module} if node.module else {a.name for a in node.names}
+    return deps
+
+
+def _parse():
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_import_graph_is_acyclic():
+    graph = {name: _relative_imports(tree) for name, tree in _parse().items()}
+    try:
+        list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
+    assert graph["polynomial"] == set()
+
+
+def test_no_import_inside_a_function():
+    nested = []
+    for name, tree in _parse().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [f"{name}.{fn.name} line {node.lineno}" for node in ast.walk(fn)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == []

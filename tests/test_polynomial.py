@@ -42,21 +42,21 @@ def test_int_mul_div_roundtrip():
 
 
 def test_reduce_by_intpoly_examples():
-    assert reduce_by_intpoly([1, 2, 3, 4], [1, 0, 1]) == [-2, -2]
+    assert reduce_by_intpoly([1, 2, 3, 4], [1, 0, 1], OpRecorder()) == [-2, -2]
     v = [0.5, -1.25, 3.0, 2.0, -0.5]
-    assert reduce_by_intpoly(v, [-1, 1]) == [pytest.approx(sum(v))]
-    assert reduce_by_intpoly([1, 0, 0, 0, 1], [1, 0, 0, 0, 1]) == [0, 0, 0, 0]
+    assert reduce_by_intpoly(v, [-1, 1], OpRecorder()) == [pytest.approx(sum(v))]
+    assert reduce_by_intpoly([1, 0, 0, 0, 1], [1, 0, 0, 0, 1], OpRecorder()) == [0, 0, 0, 0]
 
 
 def test_reduce_by_intpoly_rejects_bad_modulus():
     with pytest.raises(ValueError):
-        reduce_by_intpoly([1, 2], [5])
+        reduce_by_intpoly([1, 2], [5], OpRecorder())
     with pytest.raises(ValueError):
-        reduce_by_intpoly([1, 2], [1, 0, 2])
+        reduce_by_intpoly([1, 2], [1, 0, 2], OpRecorder())
 
 
 def test_reduce_by_intpoly_short_signal_passthrough():
-    assert reduce_by_intpoly([3, 4], [1, 0, 0, 0, 1]) == [3, 4, 0j, 0j]
+    assert reduce_by_intpoly([3, 4], [1, 0, 0, 0, 1], OpRecorder()) == [3, 4, 0j, 0j]
 
 
 def _random_complex_poly(rng, n):
@@ -69,7 +69,7 @@ def test_division_identity_against_longdiv():
         phi = cyclotomic(L)
         for _ in range(5):
             v = _random_complex_poly(rng, rng.randrange(len(phi), 65))
-            R = reduce_by_intpoly(v, phi)
+            R = reduce_by_intpoly(v, phi, OpRecorder())
             q, r = poly_longdiv(v, [complex(c) for c in phi])
             rebuilt = poly_mul([complex(c) for c in phi], q)
             rebuilt = [a + b for a, b in zip(rebuilt + [0j] * 64,
@@ -87,7 +87,7 @@ def test_root_preservation():
         L = N // math.gcd(N, k)
         phi = cyclotomic(L)
         v = _random_complex_poly(rng, N)
-        R = reduce_by_intpoly(v, phi)
+        R = reduce_by_intpoly(v, phi, OpRecorder())
         for i in range(L):
             if math.gcd(i, L) != 1:
                 continue
@@ -98,12 +98,12 @@ def test_root_preservation():
 
 
 def test_reduce_by_pk_examples():
-    assert reduce_by_pk([1, 2, 3, 4], 0.0) == (-2, -2)
-    assert reduce_by_pk([3.5], 1.7) == (3.5, 0j)
+    assert reduce_by_pk([1, 2, 3, 4], 0.0, OpRecorder()) == (-2, -2)
+    assert reduce_by_pk([3.5], 1.7, OpRecorder()) == (3.5, 0j)
     A = 0.741
-    r0, r1 = reduce_by_pk([1.0, -A, 1.0], A)
+    r0, r1 = reduce_by_pk([1.0, -A, 1.0], A, OpRecorder())
     assert abs(r0) < 1e-15 and abs(r1) < 1e-15
-    assert reduce_by_pk([], 1.0) == (0j, 0j)
+    assert reduce_by_pk([], 1.0, OpRecorder()) == (0j, 0j)
 
 
 def test_reduce_by_pk_matches_longdiv():
@@ -112,7 +112,7 @@ def test_reduce_by_pk_matches_longdiv():
         n = rng.randrange(2, 40)
         v = _random_complex_poly(rng, n)
         A = rng.uniform(-1.99, 1.99)
-        r0, r1 = reduce_by_pk(v, A)
+        r0, r1 = reduce_by_pk(v, A, OpRecorder())
         _, rem = poly_longdiv(v, [1.0, -A, 1.0])
         rem += [0j] * (2 - len(rem))
         assert abs(r0 - rem[0]) <= 1e-12 * max(1.0, abs(rem[0]))

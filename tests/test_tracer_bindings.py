@@ -37,10 +37,15 @@ def test_tracer_installs_and_removes(tracer):
 def test_kernels_are_called_through_module_globals(tracer):
     rng = random.Random(3)
     v = [rng.uniform(-1, 1) for _ in range(48)]
-    for alg in ("goertzel", "jco", "jco_goertzel"):
+    for alg in ("naive", "goertzel", "jco", "jco_goertzel", "stream"):
         complexity.measure(alg, v, 1)
     layers = tracer.layers
+    # goertzel_bin, jco_bin, jco_goertzel_bin, and _eval_remainder inside jco_bin.
+    assert layers["algorithms"].calls == 4
+    assert layers["algorithms"].extra["eval_taps"] > 0
     assert layers["polynomial.reduce_by_intpoly"].calls == 2
     assert layers["polynomial.reduce_by_pk"].calls == 2
-    assert layers["algorithms"].extra["eval_taps"] > 0
-    assert layers["complexity.measure"].calls == 3
+    assert layers["streaming.design_filter"].calls == 1
+    assert layers["streaming.push"].calls == len(v)
+    assert layers["streaming.finalize"].calls == 1
+    assert layers["complexity.measure"].calls == 5
