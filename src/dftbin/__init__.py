@@ -1,4 +1,5 @@
-"""dftbin: compute a single DFT bin three ways, counting every real operation.
+"""dftbin: compute a single DFT bin by one of five tags (naive, goertzel, jco,
+jco_goertzel, stream), counting every real operation.
 
 Block algorithms and the cost model live in dftbin.algorithms, the
 sample-at-a-time filter in dftbin.streaming, the tag registry behind

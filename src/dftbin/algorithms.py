@@ -2,16 +2,19 @@
 cyclotomic-reduction variants (tags "jco" and "jco_goertzel").
 
 All four take the signal as a list of real or complex samples and the bin
-index k (any integer, reduced modulo the length), and return a BinResult
-carrying the bin value and the measured real-operation counts. Values agree
-with the naive oracle to floating-point accuracy.
+index k, and return a BinResult carrying the bin value and the measured
+real-operation counts. Values agree with the naive oracle to floating-point
+accuracy. BinSpec.for_bin(N, k) is the one derivation of a bin, for every
+tag, streaming.design_filter and complexity.nominal_costs: it rejects N < 1
+and a non-integral k, reduces k modulo N, and derives L, W and A; A is an
+integer (0, +-1, +-2) exactly when L is in TRIVIAL_A_ORDERS.
 
 The two reduction variants share the same structure: divide the signal
 polynomial by a modulus that vanishes at the bin's root of unity, then
 evaluate the short remainder there. Goertzel uses the fixed degree-2 real
 minimal polynomial 1 - A*x + x**2; "jco" uses the cyclotomic polynomial of
-the bin's order L (integer taps, multiplication-free below order 105);
-"jco_goertzel" chains both reductions, which is cheapest of the three.
+the bin's order L (integer taps, multiplication-free below order 385);
+"jco_goertzel" chains both reductions, cheapest of the three for L < 385.
 Each run meters itself with its own OpRecorder, under the policy below.
 
 Cost policy
@@ -32,8 +35,9 @@ operand and counts the same. This is the declared convention for every
 "measured adds" figure produced by this package.
 
 Constants produced by cos/sin carry float roundoff, so magnitudes are snapped
-to the trivial set with a 1e-12 tolerance. The nearest distinct bin constant
-differs by far more than that for any DFT length this library targets.
+to the trivial set within SNAP_TOLERANCE = 1e-12. From N of about 6.28e6 on,
+2 - 2cos(2 pi / N) < 1e-12, so A next to k = 0 and k = N/2 counts as free
+and Goertzel-type counts there undercount the work.
 """
 
 import cmath
@@ -50,6 +54,7 @@ __all__ = [
     "OpRecorder",
     "TRIVIAL_MAGNITUDES",
     "SNAP_TOLERANCE",
+    "TRIVIAL_A_ORDERS",
     "BinSpec",
     "BinResult",
     "root_power",
@@ -62,6 +67,7 @@ __all__ = [
 
 TRIVIAL_MAGNITUDES = (0.0, 1.0, 2.0)
 SNAP_TOLERANCE = 1e-12
+TRIVIAL_A_ORDERS = frozenset((1, 2, 3, 4, 6))
 
 
 @dataclass
@@ -156,10 +162,11 @@ class BinSpec:
         if N < 1:
             raise ValueError(f"signal length must be >= 1, got {N}")
         k = bin_index(N, k)
+        L = bin_order(N, k)
         A = 2.0 * math.cos(2.0 * math.pi * k / N)
-        if abs(A - round(A)) <= 1e-12:  # exact at the trivial angles
+        if L in TRIVIAL_A_ORDERS:
             A = float(round(A))
-        return cls(N, k, bin_order(N, k), root_power(N, k), A)
+        return cls(N, k, L, root_power(N, k), A)
 
 
 @dataclass
@@ -167,12 +174,6 @@ class BinResult:
     value: complex
     counts: OpCounts
     algorithm: str
-
-
-def _start(v, k: int) -> tuple[BinSpec, OpRecorder]:
-    if len(v) == 0:
-        raise ValueError("empty signal")
-    return BinSpec.for_bin(len(v), k), OpRecorder()
 
 
 def _eval_remainder(R, spec: BinSpec, rec: OpRecorder) -> complex:
@@ -194,7 +195,7 @@ def _eval_goertzel(R, spec: BinSpec, rec: OpRecorder) -> complex:
 
 def naive_bin(v, k: int) -> BinResult:
     """Direct summation of v_n * W**(k n): the reference oracle."""
-    spec, rec = _start(v, k)
+    spec, rec = BinSpec.for_bin(len(v), k), OpRecorder()
     acc = complex(v[0])
     for n in range(1, spec.N):
         acc = rec.add(acc, rec.mul(v[n], root_power(spec.N, spec.k, n)))
@@ -203,13 +204,13 @@ def naive_bin(v, k: int) -> BinResult:
 
 def goertzel_bin(v, k: int) -> BinResult:
     """Second-order real reduction, then one evaluation at W."""
-    spec, rec = _start(v, k)
+    spec, rec = BinSpec.for_bin(len(v), k), OpRecorder()
     return BinResult(_eval_goertzel(v, spec, rec), rec.counts(), "goertzel")
 
 
 def jco_bin(v, k: int) -> BinResult:
     """Cyclotomic reduction to totient(L) taps, evaluated at W."""
-    spec, rec = _start(v, k)
+    spec, rec = BinSpec.for_bin(len(v), k), OpRecorder()
     R = reduce_by_intpoly(v, cyclotomic(spec.L), rec)
     return BinResult(_eval_remainder(R, spec, rec), rec.counts(), "jco")
 
@@ -220,6 +221,6 @@ def jco_goertzel_bin(v, k: int) -> BinResult:
     When totient(L) <= 2 the two stages coincide: the cyclotomic remainder
     already has at most 2 taps, and the degree-2 stage passes it through.
     """
-    spec, rec = _start(v, k)
+    spec, rec = BinSpec.for_bin(len(v), k), OpRecorder()
     R = reduce_by_intpoly(v, cyclotomic(spec.L), rec)
     return BinResult(_eval_goertzel(R, spec, rec), rec.counts(), "jco_goertzel")

@@ -5,13 +5,15 @@ multiplication counts), cyclo (cyclotomic coefficients), filter (streaming
 filter taps), dtmf (synthesize/detect tone blocks).
 
 Signal files are text: one sample per line as `re` or `re,im`, `#` starts
-a comment line, blank lines ignored. Exit codes: 0 ok, 2 parse/usage error
-or ArithmeticError (e.g. a failed filter design), 3 length or shape mismatch.
+a comment line, blank lines ignored. Exit codes: 0 ok, 1 stdout closed
+early (broken pipe, no traceback), 2 parse/usage error or ArithmeticError
+(e.g. a failed filter design), 3 length or shape mismatch.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 
 from .complexity import (ALGORITHMS, REFERENCE_TABLE_SPECS, complexity_table,
@@ -25,6 +27,7 @@ __all__ = ["main", "entry", "read_signal", "write_signal"]
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_SHAPE = 3
+EXIT_PIPE = 1
 
 ALG_TAGS = tuple(t.replace("_", "-") for t in ALGORITHMS)
 
@@ -246,7 +249,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; devnull quiets the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

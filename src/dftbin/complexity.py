@@ -10,14 +10,16 @@ Nominal formulas (real input, N >= 2):
     jco_goertzel = phi(L)        if phi(L) > 2
                    2*(phi(L)-1)  otherwise (the two reduction stages coincide)
 
-A is trivial exactly when L is one of {1, 2, 3, 4, 6}, which is decided on
-integers so the nominal table is exact. Measured counts can come in under
-nominal (final evaluation at special angles, trivial tap values) but never
-above it.
+L comes from BinSpec.for_bin; A is trivial exactly when L is in
+algorithms.TRIVIAL_A_ORDERS. Measured counts can come in under nominal
+(final evaluation at special angles, trivial tap values). They stay at or
+under it, and jco_goertzel at or under goertzel, while Phi_L has no
+coefficient above 2 in magnitude (every L < 385): at (385, 1) jco measures
+913 mults against 478 nominal, at (665, 1) jco_goertzel 3228 to goertzel's 665.
 """
 
 from . import algorithms, streaming
-from .algorithms import OpCounts, OpRecorder
+from .algorithms import TRIVIAL_A_ORDERS, BinSpec, OpCounts, OpRecorder
 from .numtheory import bin_order, totient
 
 __all__ = [
@@ -37,9 +39,6 @@ __all__ = [
 ALGORITHMS = {**dict.fromkeys(("naive", "goertzel", "jco", "jco_goertzel"), algorithms),
               "stream": streaming}
 
-# Orders whose bin constant A = 2cos(2 pi k / N) lands in {0, +-1, +-2}.
-_TRIVIAL_A_ORDERS = frozenset((1, 2, 3, 4, 6))
-
 
 def nominal_costs(N: int, k: int) -> tuple[int, int, int]:
     """Closed-form real-multiplication counts (goertzel, jco, jco_goertzel).
@@ -47,15 +46,13 @@ def nominal_costs(N: int, k: int) -> tuple[int, int, int]:
     Real-input convention. N = 1 is below the classic formulas' scope and
     costs 0 everywhere (the bin value is just v_0).
     """
-    if N < 1:
-        raise ValueError(f"nominal_costs expects N >= 1, got {N}")
-    L = bin_order(N, k)
+    L = BinSpec.for_bin(N, k).L
     phi = totient(L)
     jco = 2 * (phi - 1)
     jcg = phi if phi > 2 else jco
     if N == 1:
         return (0, 0, 0)
-    goertzel = 2 + (N - 2) * (0 if L in _TRIVIAL_A_ORDERS else 1)
+    goertzel = 2 + (N - 2) * (0 if L in TRIVIAL_A_ORDERS else 1)
     return (goertzel, jco, jcg)
 
 

@@ -13,15 +13,17 @@ one append, and a push visits only the nonzero feedback taps, applying a
 The numerator comes from synthetic division of the (sign-normalized)
 cyclotomic polynomial by (1 - Wbar*u), Wbar = exp(+2j pi k / N): one exact
 recurrence instead of the phi(L)-1 factor product, which is kept only as a
-test oracle. The division residual is checked at design time.
+test oracle. The division residual is checked at design time. The bin's k
+and L come from algorithms.BinSpec.for_bin, which validates (N, k).
 """
 
 from collections import deque
 from dataclasses import dataclass, field
 
-from .algorithms import BinResult, OpRecorder, root_power
+from .algorithms import BinResult, BinSpec, OpRecorder, root_power
 from .cyclotomic import cyclotomic
-from .numtheory import bin_index, bin_order, totient
+# bin_order is unused here, but perfbench/layers.py wraps it by this name.
+from .numtheory import bin_order, totient  # noqa: F401
 
 __all__ = [
     "FilterSpec",
@@ -90,10 +92,8 @@ class FilterState:
 
 def design_filter(N: int, k: int) -> FilterSpec:
     """Design the streaming filter for bin k of an N-point transform."""
-    if N < 1:
-        raise ValueError(f"signal length must be >= 1, got {N}")
-    k = bin_index(N, k)
-    L = bin_order(N, k)
+    bin_spec = BinSpec.for_bin(N, k)
+    k, L = bin_spec.k, bin_spec.L
     deg = totient(L)
     den = cyclotomic(L)
     if den[0] == -1:  # only L = 1; normalize so the constant tap is 1
@@ -146,10 +146,14 @@ def push(state: FilterState, sample) -> FilterState:
 def finalize(state: FilterState, spec: FilterSpec) -> BinResult:
     """One zero-input step, then the single numerator dot product.
 
-    Requires exactly N pushed samples; returns the bin value with the
-    counts accumulated over the whole run. The product starts from the
-    newest register value, since a[0] = 1.
+    The taps are read from state.spec; the spec argument must be state.spec
+    or equal to it, else ValueError. Requires exactly N pushed samples;
+    returns the bin value with the counts accumulated over the whole run.
+    The product starts from the newest register value, since a[0] = 1.
     """
+    if spec != state.spec:
+        raise ValueError(f"spec is not the state's (N={state.spec.N}, k={state.spec.k})")
+    spec = state.spec
     if state.samples_consumed != spec.N:
         raise ValueError(
             f"finalize needs exactly {spec.N} samples, got {state.samples_consumed}")

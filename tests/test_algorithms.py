@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from dftbin.algorithms import (BinSpec, goertzel_bin, jco_bin,
+from dftbin.algorithms import (TRIVIAL_A_ORDERS, BinSpec, goertzel_bin, jco_bin,
                                jco_goertzel_bin, naive_bin, root_power)
 from dftbin.complexity import measure, nominal_costs
 from dftbin.numtheory import bin_order, totient
+from dftbin.streaming import design_filter
 from oracles import dft_bin
 
 ALGS = (naive_bin, goertzel_bin, jco_bin, jco_goertzel_bin)
@@ -37,6 +38,17 @@ def test_bin_spec_invariants():
         assert abs(abs(spec.W) - 1.0) <= 1e-12
         assert spec.L == bin_order(N, k)
         assert abs(spec.A - 2 * spec.W.real) <= 1e-12
+
+
+def test_bin_spec_A_integral_exactly_at_trivial_orders():
+    # A is rounded on L, not snapped on its value: at N = 2**23 the constant
+    # lies within 1e-12 of 2 but is not 2.
+    N = 1 << 23
+    assert BinSpec.for_bin(N, 1).A == 2 * math.cos(2 * math.pi / N) != 2.0
+    for N in range(1, 121):
+        for k in range(N):
+            spec = BinSpec.for_bin(N, k)
+            assert spec.A.is_integer() == (spec.L in TRIVIAL_A_ORDERS), (N, k)
 
 
 def test_naive_examples():
@@ -119,9 +131,12 @@ def test_jco_goertzel_equals_jco_when_stages_coincide():
 
 
 def test_empty_signal_rejected():
-    for alg in ALGS:
-        with pytest.raises(ValueError):
-            alg([], 0)
+    for alg in ("naive", "goertzel", "jco", "jco_goertzel", "stream"):
+        with pytest.raises(ValueError, match="signal length must be >= 1, got 0"):
+            measure(alg, [], 0)
+    for derive in (nominal_costs, design_filter):
+        with pytest.raises(ValueError, match="signal length must be >= 1, got 0"):
+            derive(0, 1)
 
 
 @pytest.mark.parametrize("alg", ["naive", "goertzel", "jco", "jco_goertzel", "stream"])

@@ -206,6 +206,21 @@ def test_arithmetic_error_exit2_without_traceback(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_broken_pipe_exit1_without_traceback():
+    # stdout is a pipe whose reader has already gone, as under `| head -c 10`.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(dftbin.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "dftbin.cli", "table", "--paper"],
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_dtmf_bad_digit_exit2(tmp_path, capsys):
     assert main(["dtmf", "--synth", "1Z", "--out", str(tmp_path / "x.txt")]) == 2
 

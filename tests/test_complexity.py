@@ -173,3 +173,22 @@ def test_measured_never_exceeds_nominal_small_sweep():
             assert measure("goertzel", v, k).counts.real_mults <= g
             assert measure("jco", v, k).counts.real_mults <= j
             assert measure("jco_goertzel", v, k).counts.real_mults <= jg
+
+
+# Every order below 385 whose cyclotomic polynomial has a +-2 coefficient; the
+# nominal claims hold up to there (at 385 a tap of magnitude 3 appears).
+ORDERS_WITH_TAP_2 = (105, 165, 195, 210, 255, 273, 285, 315, 330, 345, 357)
+
+
+def test_measured_never_exceeds_nominal_at_orders_with_tap_2():
+    rng = random.Random(43)
+    for L in ORDERS_WITH_TAP_2:
+        for N, k in ((L, 1), (2 * L, 2)):
+            v = [rng.uniform(-1, 1) for _ in range(N)]
+            g, j, jg = nominal_costs(N, k)
+            measured_g = measure("goertzel", v, k).counts.real_mults
+            measured_jg = measure("jco_goertzel", v, k).counts.real_mults
+            assert measured_g <= g, (N, k)
+            assert measure("jco", v, k).counts.real_mults <= j, (N, k)
+            assert measured_jg <= jg, (N, k)
+            assert measured_jg <= measured_g, (N, k)

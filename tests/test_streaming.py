@@ -120,6 +120,24 @@ def test_finalize_worked_example():
     assert res.algorithm == "stream"
 
 
+def test_finalize_reads_the_state_spec():
+    rng = random.Random(37)
+    v = _rand_real(rng, 1024)
+    spec = design_filter(1024, 128)
+    expected = measure("stream", v, 128)
+    for given in (spec, design_filter(1024, 128)):
+        state = new_state(spec)
+        for sample in v:
+            push(state, sample)
+        assert finalize(state, given) == expected
+    for foreign in (design_filter(1024, 1), design_filter(512, 64)):
+        state = new_state(spec)
+        for sample in v:
+            push(state, sample)
+        with pytest.raises(ValueError, match="spec is not the state's"):
+            finalize(state, foreign)
+
+
 def test_finalize_simple_values():
     spec = design_filter(16, 0)
     state = new_state(spec)
