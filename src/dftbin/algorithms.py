@@ -17,6 +17,13 @@ the bin's order L (integer taps, multiplication-free below order 385);
 "jco_goertzel" chains both reductions, cheapest of the three for L < 385.
 Each run meters itself with its own OpRecorder, under the policy below.
 
+"jco" and "jco_goertzel" share one cyclotomic stage. It first folds the
+signal modulo x**L - 1: L divides N and Phi_L divides x**L - 1, so adding
+the N/L length-L blocks together leaves the remainder modulo Phi_L
+unchanged. The fold costs N - L adds and no multiplications; the
+reduction then runs over L coefficients instead of N, about
+(L - phi(L)) * (nnz(Phi_L) - 1) adds. A call is O(N + L * nnz(Phi_L)).
+
 Cost policy
 -----------
 A real multiplication by a constant c is *trivial* (free) when |c| is 0, 1,
@@ -35,9 +42,13 @@ operand and counts the same. This is the declared convention for every
 "measured adds" figure produced by this package.
 
 Constants produced by cos/sin carry float roundoff, so magnitudes are snapped
-to the trivial set within SNAP_TOLERANCE = 1e-12. From N of about 6.28e6 on,
-2 - 2cos(2 pi / N) < 1e-12, so A next to k = 0 and k = N/2 counts as free
-and Goertzel-type counts there undercount the work.
+to the trivial set within SNAP_TOLERANCE = 1e-12. Goertzel's A is the
+exception: it is charged on L, free exactly when L is in TRIVIAL_A_ORDERS.
+From N of about 6.28e6 on, 2 - 2cos(2 pi / N) < 1e-12, so the snap alone
+would class A next to k = 0 and k = N/2 as free; BinSpec.for_bin enters
+A's cost in the recorder's cost table instead. From N of about 5.96e8 on,
+A rounds to exactly +-2.0 in float there, so the run's multiplication by
+it is free, and the bin is no longer the requested one.
 """
 
 import cmath
@@ -166,6 +177,8 @@ class BinSpec:
         A = 2.0 * math.cos(2.0 * math.pi * k / N)
         if L in TRIVIAL_A_ORDERS:
             A = float(round(A))
+        elif abs(A) not in TRIVIAL_MAGNITUDES:
+            _COST_CACHE[A] = 1  # charged on L, even where the snap would free it
         return cls(N, k, L, root_power(N, k), A)
 
 
@@ -174,6 +187,17 @@ class BinResult:
     value: complex
     counts: OpCounts
     algorithm: str
+
+
+def _cyclo_reduce(v, spec: BinSpec, rec: OpRecorder) -> list:
+    # Fold modulo x**L - 1 (N - L adds), then reduce the L-coefficient sum
+    # by Phi_L. perfbench/layers.py wraps reduce_by_intpoly by this module's
+    # name, so it is called as a global here.
+    L = spec.L
+    folded = v[:L]
+    for start in range(L, spec.N, L):
+        folded = [rec.add(a, b) for a, b in zip(folded, v[start:start + L])]
+    return reduce_by_intpoly(folded, cyclotomic(L), rec)
 
 
 def _eval_remainder(R, spec: BinSpec, rec: OpRecorder) -> complex:
@@ -211,7 +235,7 @@ def goertzel_bin(v, k: int) -> BinResult:
 def jco_bin(v, k: int) -> BinResult:
     """Cyclotomic reduction to totient(L) taps, evaluated at W."""
     spec, rec = BinSpec.for_bin(len(v), k), OpRecorder()
-    R = reduce_by_intpoly(v, cyclotomic(spec.L), rec)
+    R = _cyclo_reduce(v, spec, rec)
     return BinResult(_eval_remainder(R, spec, rec), rec.counts(), "jco")
 
 
@@ -222,5 +246,5 @@ def jco_goertzel_bin(v, k: int) -> BinResult:
     already has at most 2 taps, and the degree-2 stage passes it through.
     """
     spec, rec = BinSpec.for_bin(len(v), k), OpRecorder()
-    R = reduce_by_intpoly(v, cyclotomic(spec.L), rec)
+    R = _cyclo_reduce(v, spec, rec)
     return BinResult(_eval_goertzel(R, spec, rec), rec.counts(), "jco_goertzel")

@@ -4,10 +4,13 @@ import random
 
 import pytest
 
-from dftbin.algorithms import (TRIVIAL_A_ORDERS, BinSpec, goertzel_bin, jco_bin,
-                               jco_goertzel_bin, naive_bin, root_power)
+from dftbin.algorithms import (TRIVIAL_A_ORDERS, BinSpec, OpRecorder, _eval_goertzel,
+                               _eval_remainder, goertzel_bin, jco_bin, jco_goertzel_bin,
+                               naive_bin, root_power)
 from dftbin.complexity import measure, nominal_costs
+from dftbin.cyclotomic import cyclotomic
 from dftbin.numtheory import bin_order, totient
+from dftbin.polynomial import reduce_by_intpoly, reduce_by_pk
 from dftbin.streaming import design_filter
 from oracles import dft_bin
 
@@ -49,6 +52,16 @@ def test_bin_spec_A_integral_exactly_at_trivial_orders():
         for k in range(N):
             spec = BinSpec.for_bin(N, k)
             assert spec.A.is_integer() == (spec.L in TRIVIAL_A_ORDERS), (N, k)
+
+
+def test_goertzel_A_charged_on_order_at_large_N():
+    # At N = 2**23 the k = 1 constant lies within the 1e-12 snap of 2, yet
+    # L = N is not a trivial order: 5 steps, the first on an empty register.
+    N = 1 << 23
+    for k, mults in ((1, 4), (N // 4, 0), (N // 2, 0)):
+        rec = OpRecorder()
+        reduce_by_pk([1.0] * 6, BinSpec.for_bin(N, k).A, rec)
+        assert rec.mults == mults, k
 
 
 def test_naive_examples():
@@ -201,3 +214,43 @@ def test_counts_nonnegative_and_tagged():
         assert res.algorithm == tag
         assert res.counts.real_mults >= 0
         assert res.counts.real_adds >= 0
+
+
+def _unfolded(v, k):
+    # The cyclotomic reduction over all N coefficients, then each tag's
+    # evaluate stage on its own copy of the counts.
+    spec, rec = BinSpec.for_bin(len(v), k), OpRecorder()
+    R = reduce_by_intpoly(v, cyclotomic(spec.L), rec)
+    out = {}
+    for tag, evaluate in (("jco", _eval_remainder), ("jco_goertzel", _eval_goertzel)):
+        tag_rec = OpRecorder()
+        tag_rec.mults, tag_rec.adds = rec.mults, rec.adds
+        out[tag] = (evaluate(R, spec, tag_rec), tag_rec.counts())
+    return out
+
+
+def test_fold_matches_unfolded_reduction():
+    rng = random.Random(24)
+    shapes = [(N, k) for N in range(2, 61) for k in range(N) if bin_order(N, k) < N]
+    shapes.append((12012, 7))
+    for N, k in shapes:
+        for v in (_rand_real(rng, N), _rand_complex(rng, N)):
+            rms = math.sqrt(sum(abs(c) ** 2 for c in v))
+            ref = _unfolded(v, k)
+            for tag, alg in (("jco", jco_bin), ("jco_goertzel", jco_goertzel_bin)):
+                res = alg(v, k)
+                value, counts = ref[tag]
+                assert abs(res.value - value) <= 1e-12 * rms, (tag, N, k)
+                assert res.counts.real_mults == counts.real_mults, (tag, N, k)
+                assert res.counts.real_adds <= counts.real_adds, (tag, N, k)
+
+
+@pytest.mark.parametrize("N,k", [(12012, 7), (1680, 8), (1155, 5), (2310, 10)])
+def test_cyclotomic_stage_adds_linear(N, k):
+    # Folding first bounds the adds by N + L * nnz(Phi_L); reducing all N
+    # coefficients costs about N * nnz(Phi_L).
+    L = bin_order(N, k)
+    bound = N + L * sum(1 for c in cyclotomic(L) if c)
+    v = _rand_real(random.Random(26), N)
+    for alg in (jco_bin, jco_goertzel_bin):
+        assert alg(v, k).counts.real_adds <= bound, alg.__name__
