@@ -20,9 +20,21 @@ Each run meters itself with its own OpRecorder, under the policy below.
 "jco" and "jco_goertzel" share one cyclotomic stage. It first folds the
 signal modulo x**L - 1: L divides N and Phi_L divides x**L - 1, so adding
 the N/L length-L blocks together leaves the remainder modulo Phi_L
-unchanged. The fold costs N - L adds and no multiplications; the
-reduction then runs over L coefficients instead of N, about
-(L - phi(L)) * (nnz(Phi_L) - 1) adds. A call is O(N + L * nnz(Phi_L)).
+unchanged. The fold costs N - L adds and no multiplications. The L-term
+sum is then reduced once per distinct prime of L, p_1 < ... < p_s: with
+r_i = p_1...p_i, stage i reduces by Phi_{r_i}(x**(L/r_i)), which divides
+the previous stage's modulus, and the last is Phi_L = Phi_{rad L}(x**(L/rad L)).
+Stage i takes (L/r_i) * phi(r_{i-1}) steps of nnz(Phi_{r_i}) - 1 adds each,
+so the cyclotomic stage costs N - L adds plus the sum of those (420 at
+L = 205, where one reduction by Phi_205 costs 2880); a prime-power L is a
+single reduction.
+
+Goertzel's degree-2 stage runs the plain recursion by A, except where
+|A| >= REINSCH_MIN_A = 1.875 at an order outside TRIVIAL_A_ORDERS: there it
+runs Reinsch's form with lam = A -+ 2, taken from the half angle in full
+relative precision (BinSpec.lam). The plain form amplifies rounding by
+about 1/|lam| near |A| = 2; at mid-range A, Reinsch's is the less accurate
+one. Its multiplications are the plain form's, with one more add per step.
 
 Cost policy
 -----------
@@ -42,13 +54,14 @@ operand and counts the same. This is the declared convention for every
 "measured adds" figure produced by this package.
 
 Constants produced by cos/sin carry float roundoff, so magnitudes are snapped
-to the trivial set within SNAP_TOLERANCE = 1e-12. Goertzel's A is the
-exception: it is charged on L, free exactly when L is in TRIVIAL_A_ORDERS.
-From N of about 6.28e6 on, 2 - 2cos(2 pi / N) < 1e-12, so the snap alone
-would class A next to k = 0 and k = N/2 as free; BinSpec.for_bin enters
-A's cost in the recorder's cost table instead. From N of about 5.96e8 on,
-A rounds to exactly +-2.0 in float there, so the run's multiplication by
-it is free, and the bin is no longer the requested one.
+to the trivial set within SNAP_TOLERANCE = 1e-12. The bin's own constants
+are the exception: BinSpec.for_bin enters their cost in the recorder's cost
+table, charged on L. A and lam cost 1, and are free exactly when L is in
+TRIVIAL_A_ORDERS (lam is then unset); W costs 2, 1 at L = 8, and is free at
+L in (1, 2, 4). Without this, from N of about 4.4e6 on the snap would free
+the real part of W next to k = 0 and k = N/2, and from 6.28e6 on A itself
+and lam. From N of about 5.96e8 on, A rounds to exactly +-2.0 in float
+there; the run still gets the requested bin, because it multiplies by lam.
 """
 
 import cmath
@@ -57,7 +70,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import cyclotomic
 # totient is unused here, but perfbench/layers.py wraps it by this name.
-from .numtheory import bin_index, bin_order, totient  # noqa: F401
+from .numtheory import bin_index, bin_order, factorize, totient  # noqa: F401
 from .polynomial import reduce_by_intpoly, reduce_by_pk
 
 __all__ = [
@@ -66,6 +79,7 @@ __all__ = [
     "TRIVIAL_MAGNITUDES",
     "SNAP_TOLERANCE",
     "TRIVIAL_A_ORDERS",
+    "REINSCH_MIN_A",
     "BinSpec",
     "BinResult",
     "root_power",
@@ -79,6 +93,7 @@ __all__ = [
 TRIVIAL_MAGNITUDES = (0.0, 1.0, 2.0)
 SNAP_TOLERANCE = 1e-12
 TRIVIAL_A_ORDERS = frozenset((1, 2, 3, 4, 6))
+REINSCH_MIN_A = 1.875
 
 
 @dataclass
@@ -160,6 +175,8 @@ class BinSpec:
 
     W is the evaluation point exp(-2j pi k / N); A = 2 cos(2 pi k / N) is
     the Goertzel feedback constant; L is the multiplicative order of W.
+    lam is A -+ 2 from the half angle, set where |A| >= REINSCH_MIN_A at
+    an order outside TRIVIAL_A_ORDERS, and None elsewhere.
     """
 
     N: int
@@ -167,6 +184,7 @@ class BinSpec:
     L: int
     W: complex
     A: float
+    lam: float | None = None
 
     @classmethod
     def for_bin(cls, N: int, k: int) -> "BinSpec":
@@ -174,12 +192,24 @@ class BinSpec:
             raise ValueError(f"signal length must be >= 1, got {N}")
         k = bin_index(N, k)
         L = bin_order(N, k)
+        W = root_power(N, k)
         A = 2.0 * math.cos(2.0 * math.pi * k / N)
+        lam = None
         if L in TRIVIAL_A_ORDERS:
             A = float(round(A))
-        elif abs(A) not in TRIVIAL_MAGNITUDES:
-            _COST_CACHE[A] = 1  # charged on L, even where the snap would free it
-        return cls(N, k, L, root_power(N, k), A)
+        else:
+            if abs(A) >= REINSCH_MIN_A:
+                # -4 sin^2(pi k / N), or 4 cos^2(pi k / N) = 4 sin^2(pi (N - 2k) / 2N),
+                # from an exact integer angle, so lam keeps full relative precision.
+                half = math.sin(math.pi * min(k, N - k) / N if A > 0
+                                else math.pi * (N - 2 * k) / (2 * N))
+                lam = math.copysign(4.0 * half * half, -A)
+                _COST_CACHE[lam] = 1
+            if abs(A) not in TRIVIAL_MAGNITUDES:
+                _COST_CACHE[A] = 1
+        if L not in (1, 2, 4):
+            _COST_CACHE[W] = 1 if L == 8 else 2
+        return cls(N, k, L, W, A, lam)
 
 
 @dataclass
@@ -190,14 +220,23 @@ class BinResult:
 
 
 def _cyclo_reduce(v, spec: BinSpec, rec: OpRecorder) -> list:
-    # Fold modulo x**L - 1 (N - L adds), then reduce the L-coefficient sum
-    # by Phi_L. perfbench/layers.py wraps reduce_by_intpoly by this module's
-    # name, so it is called as a global here.
+    # Fold modulo x**L - 1 (N - L adds), then reduce by Phi_{r_i}(x**(L/r_i))
+    # for r_i = p_1...p_i over the distinct primes of L, ascending; the last
+    # modulus is Phi_L. perfbench/layers.py wraps reduce_by_intpoly by this
+    # module's name, so it is called as a global here.
     L = spec.L
-    folded = v[:L]
+    R = v[:L]
     for start in range(L, spec.N, L):
-        folded = [rec.add(a, b) for a, b in zip(folded, v[start:start + L])]
-    return reduce_by_intpoly(folded, cyclotomic(L), rec)
+        R = [rec.add(a, b) for a, b in zip(R, v[start:start + L])]
+    r = 1
+    for p, _ in factorize(L):
+        r *= p
+        stride = L // r
+        phi_r = cyclotomic(r)
+        modulus = [0] * (stride * (len(phi_r) - 1) + 1)
+        modulus[::stride] = phi_r
+        R = reduce_by_intpoly(R, modulus, rec)
+    return R
 
 
 def _eval_remainder(R, spec: BinSpec, rec: OpRecorder) -> complex:
@@ -213,7 +252,7 @@ def _eval_remainder(R, spec: BinSpec, rec: OpRecorder) -> complex:
 
 
 def _eval_goertzel(R, spec: BinSpec, rec: OpRecorder) -> complex:
-    r0, r1 = reduce_by_pk(R, spec.A, rec)
+    r0, r1 = reduce_by_pk(R, spec.A, rec, spec.lam)
     return rec.add(r0, rec.mul(r1, spec.W))
 
 

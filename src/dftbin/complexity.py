@@ -13,9 +13,11 @@ Nominal formulas (real input, N >= 2):
 L comes from BinSpec.for_bin; A is trivial exactly when L is in
 algorithms.TRIVIAL_A_ORDERS. Measured counts can come in under nominal
 (final evaluation at special angles, trivial tap values). They stay at or
-under it, and jco_goertzel at or under goertzel, while Phi_L has no
-coefficient above 2 in magnitude (every L < 385): at (385, 1) jco measures
-913 mults against 478 nominal, at (665, 1) jco_goertzel 3228 to goertzel's 665.
+under it while no cyclotomic stage has a tap above 2 in magnitude (every
+L < 385): at (385, 1) jco measures 550 mults against 478 nominal. Over
+(L, 1) on real input, jco_goertzel stays at or under goertzel for every
+L < 665, and fails at 12 orders below 2500, first at (665, 1) with 720 to
+goertzel's 665.
 """
 
 from . import algorithms, streaming

@@ -114,13 +114,20 @@ def reduce_by_intpoly(signal: list, modulus: list[int], counter) -> list:
     return rem[:deg]
 
 
-def reduce_by_pk(signal: list, A: float, counter) -> tuple[complex, complex]:
+def reduce_by_pk(signal: list, A: float, counter,
+                 lam: float | None = None) -> tuple[complex, complex]:
     """Remainder (r0, r1) of a signal polynomial modulo 1 - A*x + x**2.
 
     Runs the second-order recursion s_n = v_n + A*s_{n+1} - s_{n+2} from the
     highest coefficient down; exactly max(0, N-2) multiplications by A are
     charged for a generic signal when A is nontrivial (the first step hits
     an empty register and is free).
+
+    Given lam = A - 2 (for A > 0) or A + 2 (for A < 0), it runs Reinsch's
+    form instead, which carries the difference d = s_n -+ s_{n+1}:
+    d <- v + lam*s +- d, s <- +-s + d. Rounding near |A| = 2 is no longer
+    amplified by 1/|lam|. It multiplies by lam where the plain form
+    multiplies by A, and adds one more add per step.
     """
     n = len(signal)
     if n == 0:
@@ -129,9 +136,17 @@ def reduce_by_pk(signal: list, A: float, counter) -> tuple[complex, complex]:
         return (signal[0], 0j)
     s1 = 0j
     s2 = 0j
-    for i in range(n - 1, 0, -1):
-        s0 = counter.add(counter.add(signal[i], counter.mul(s1, A)), -s2)
-        s2 = s1
-        s1 = s0
+    if lam is None:
+        for i in range(n - 1, 0, -1):
+            s0 = counter.add(counter.add(signal[i], counter.mul(s1, A)), -s2)
+            s2 = s1
+            s1 = s0
+    else:
+        sign = 1 if A > 0 else -1
+        d = 0j
+        for i in range(n - 1, 0, -1):
+            d = counter.add(counter.add(signal[i], counter.mul(s1, lam)), sign * d)
+            s2 = s1
+            s1 = counter.add(sign * s1, d)
     r0 = counter.add(signal[0], -s2)
     return (r0, s1)

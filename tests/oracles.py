@@ -1,12 +1,16 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the library's reduction kernels: plain long
-division, plain products, plain DFT sums.
+division, plain products, plain DFT sums. The exceptions are earlier, simpler
+forms of a library stage kept as references for the faster one that replaced
+them (dense_stream, single_cyclo_reduce).
 """
 
 import cmath
 
 from dftbin.complexity import OpRecorder
+from dftbin.cyclotomic import cyclotomic
+from dftbin.polynomial import reduce_by_intpoly
 
 
 def poly_mul(a, b):
@@ -54,6 +58,29 @@ def dft_bin(v, k):
     """Straight DFT sum, computed with nothing from the package."""
     n = len(v)
     return sum(v[m] * cmath.exp(-2j * cmath.pi * k * m / n) for m in range(n))
+
+
+def mp_bin(v, k):
+    """DFT bin k of v summed in 30-digit arithmetic, rounded to a complex."""
+    import mpmath
+
+    n = len(v)
+    with mpmath.workdps(30):
+        acc = mpmath.mpc(0)
+        for m, x in enumerate(v):
+            acc += mpmath.mpc(x) * mpmath.expjpi(mpmath.mpf(-2 * k * m) / n)
+        return complex(acc)
+
+
+def single_cyclo_reduce(v, L):
+    """The cyclotomic stage as one reduction: fold v modulo x**L - 1, then
+    divide by Phi_L in a single reduce_by_intpoly call. Returns the remainder
+    and its OpCounts; the library's chain of sparse factors must match it."""
+    rec = OpRecorder()
+    folded = v[:L]
+    for start in range(L, len(v), L):
+        folded = [rec.add(a, b) for a, b in zip(folded, v[start:start + L])]
+    return reduce_by_intpoly(folded, cyclotomic(L), rec), rec.counts()
 
 
 def first_order_reference(v, k):

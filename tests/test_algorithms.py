@@ -4,15 +4,18 @@ import random
 
 import pytest
 
-from dftbin.algorithms import (TRIVIAL_A_ORDERS, BinSpec, OpRecorder, _eval_goertzel,
-                               _eval_remainder, goertzel_bin, jco_bin, jco_goertzel_bin,
-                               naive_bin, root_power)
+from fractions import Fraction
+
+from dftbin.algorithms import (REINSCH_MIN_A, SNAP_TOLERANCE, TRIVIAL_A_ORDERS, BinSpec,
+                               OpRecorder, _cyclo_reduce, _eval_goertzel, _eval_remainder,
+                               goertzel_bin, jco_bin, jco_goertzel_bin, naive_bin, root_power)
 from dftbin.complexity import measure, nominal_costs
 from dftbin.cyclotomic import cyclotomic
-from dftbin.numtheory import bin_order, totient
+from dftbin.dtmf import DEFAULT_CONFIG
+from dftbin.numtheory import bin_order, factorize, totient
 from dftbin.polynomial import reduce_by_intpoly, reduce_by_pk
 from dftbin.streaming import design_filter
-from oracles import dft_bin
+from oracles import dft_bin, mp_bin, single_cyclo_reduce
 
 ALGS = (naive_bin, goertzel_bin, jco_bin, jco_goertzel_bin)
 
@@ -254,3 +257,131 @@ def test_cyclotomic_stage_adds_linear(N, k):
     v = _rand_real(random.Random(26), N)
     for alg in (jco_bin, jco_goertzel_bin):
         assert alg(v, k).counts.real_adds <= bound, alg.__name__
+
+
+# Every order up to 400, and three with several distinct primes and taps of
+# magnitude 3 or more (1155 = 3*5*7*11, 1716 = 2**2*3*11*13, 2310 = 2*3*5*7*11).
+CHAIN_ORDERS = (*range(1, 401), 1155, 1716, 2310)
+
+
+def _chain(v, L):
+    rec = OpRecorder()
+    return _cyclo_reduce(v, BinSpec.for_bin(L, 1), rec), rec.counts()
+
+
+def test_chain_equals_single_reduction_on_integer_input():
+    # Integer arithmetic is exact, so the chain of factors and the one
+    # reduction by Phi_L must give the same remainder.
+    rng = random.Random(28)
+    for L in CHAIN_ORDERS:
+        v = [rng.randrange(-3, 4) for _ in range(L)]
+        assert _chain(v, L)[0] == single_cyclo_reduce(v, L)[0], L
+
+
+def test_chain_matches_single_reduction_and_costs_no_more():
+    rng = random.Random(30)
+    for L in CHAIN_ORDERS:
+        for v in (_rand_real(rng, L), _rand_complex(rng, L)):
+            R, counts = _chain(v, L)
+            ref, ref_counts = single_cyclo_reduce(v, L)
+            assert len(R) == len(ref) == max(totient(L), 1)
+            rms = math.sqrt(sum(abs(c) ** 2 for c in ref) / len(ref))
+            assert max(abs(a - b) for a, b in zip(R, ref)) <= 1e-12 * rms, L
+            assert counts.real_mults <= ref_counts.real_mults, L
+            assert counts.real_adds <= ref_counts.real_adds, L
+
+
+@pytest.mark.parametrize("L", [1155, 2310])
+def test_chain_close_to_exact_remainder(L):
+    # Floats scaled by 2**80 are integers, so the reduction of the scaled
+    # signal is exact. The single reduction is off by up to 1.6e-11 of the
+    # signal's rms here; the chain stays within 1e-12.
+    v = _rand_real(random.Random(32), L)
+    scale = 1 << 80
+    exact = [c / scale for c in single_cyclo_reduce([int(Fraction(x) * scale) for x in v], L)[0]]
+    rms = math.sqrt(sum(x * x for x in v) / L)
+    assert max(abs(a - b) for a, b in zip(_chain(v, L)[0], exact)) <= 1e-12 * rms
+
+
+@pytest.mark.parametrize("N,k", [(205, 18), (1155, 1), (12012, 7), (2310, 1)])
+def test_cyclotomic_stage_adds_within_chain_bound(N, k):
+    # The fold costs N - L adds; stage i, which reduces modulo
+    # Phi_{r_i}(x**(L/r_i)) with r_i = p_1...p_i, costs (L/r_i) * phi(r_{i-1})
+    # steps of nnz(Phi_{r_i}) - 1 adds each.
+    L = bin_order(N, k)
+    bound = N - L
+    r = 1
+    for p, _ in factorize(L):
+        bound += L // (r * p) * totient(r) * (sum(1 for c in cyclotomic(r * p) if c) - 1)
+        r *= p
+    rec = OpRecorder()
+    _cyclo_reduce(_rand_real(random.Random(34), N), BinSpec.for_bin(N, k), rec)
+    assert rec.adds <= bound
+
+
+def test_w_and_lam_charged_on_order():
+    # At (2**23, 1) the real part of W lies within the snap of 1, and lam
+    # (about -5.6e-13) within the snap of 0; both are charged on L all the same.
+    spec = BinSpec.for_bin(1 << 23, 1)
+    assert abs(spec.lam) < SNAP_TOLERANCE
+    for const, cost in ((spec.W, 2), (spec.lam, 1), (spec.A, 1)):
+        rec = OpRecorder()
+        rec.mul(1.0, const)
+        assert rec.mults == cost, const
+    for (N, k), cost in (((8, 1), 1), ((8, 3), 1), ((1, 0), 0), ((2, 1), 0), ((4, 1), 0),
+                         ((4, 3), 0), ((3, 1), 2), ((12, 1), 2)):
+        rec = OpRecorder()
+        rec.mul(1.0, BinSpec.for_bin(N, k).W)
+        assert rec.mults == cost, (N, k)
+
+
+def test_lam_set_exactly_near_two():
+    for N in range(1, 121):
+        for k in range(N):
+            spec = BinSpec.for_bin(N, k)
+            near_two = abs(spec.A) >= REINSCH_MIN_A and spec.L not in TRIVIAL_A_ORDERS
+            assert (spec.lam is not None) == near_two, (N, k)
+            if near_two:
+                assert abs(spec.lam - (spec.A - math.copysign(2.0, spec.A))) <= 1e-15
+
+
+@pytest.mark.parametrize("N,k", [(4096, 1), (4096, 2047), (16384, 1)])
+def test_reinsch_matches_mpmath_oracle(N, k):
+    # Plain Goertzel is off by about 9e-10 of the rms bin at (16384, 1).
+    rng = random.Random(N + k)
+    v = _rand_real(rng, N)
+    assert BinSpec.for_bin(N, k).lam is not None
+    ref = mp_bin(v, k)
+    rms_bin = math.sqrt(sum(x * x for x in v))  # Parseval
+    for alg in (goertzel_bin, jco_goertzel_bin):
+        assert abs(alg(v, k).value - ref) <= 1e-11 * rms_bin, alg.__name__
+
+
+def test_reinsch_mults_equal_plain():
+    rng = random.Random(36)
+    for N, k in ((83, 1), (205, 1), (4096, 2047), (1 << 23, 1), (1000, 499)):
+        spec = BinSpec.for_bin(N, k)
+        for v in (_rand_real(rng, 64), _rand_complex(rng, 64)):
+            plain, reinsch = OpRecorder(), OpRecorder()
+            reduce_by_pk(v, spec.A, plain)
+            reduce_by_pk(v, spec.A, reinsch, spec.lam)
+            assert reinsch.mults == plain.mults > 0, (N, k)
+            per_step = 1 if isinstance(v[0], float) else 2
+            assert reinsch.adds == plain.adds + per_step * (len(v) - 1), (N, k)
+
+
+def test_goertzel_plain_below_reinsch_threshold():
+    # Where |A| < REINSCH_MIN_A the goertzel tag runs the plain recursion:
+    # same value, bit for bit, and same counts.
+    rng = random.Random(38)
+    shapes = [(205, k) for k in DEFAULT_CONFIG.row_bins() + DEFAULT_CONFIG.col_bins()]
+    for N, k in shapes + [(1024, 128)]:
+        spec = BinSpec.for_bin(N, k)
+        assert spec.lam is None, (N, k)
+        for v in (_rand_real(rng, N), _rand_complex(rng, N)):
+            rec = OpRecorder()
+            r0, r1 = reduce_by_pk(v, spec.A, rec)
+            value = rec.add(r0, rec.mul(r1, spec.W))
+            res = goertzel_bin(v, k)
+            assert repr(res.value) == repr(value), (N, k)
+            assert res.counts == rec.counts(), (N, k)

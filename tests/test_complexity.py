@@ -192,3 +192,15 @@ def test_measured_never_exceeds_nominal_at_orders_with_tap_2():
             assert measure("jco", v, k).counts.real_mults <= j, (N, k)
             assert measured_jg <= jg, (N, k)
             assert measured_jg <= measured_g, (N, k)
+
+
+def test_jco_goertzel_dominates_goertzel_past_tap_3():
+    # Orders with a tap of magnitude 3 or more where jco measures above its
+    # nominal count, yet jco_goertzel stays at or under goertzel: the chain of
+    # sparse factors charges those taps only on its short last stages. The
+    # first order where dominance fails is 665 (720 against 665).
+    rng = random.Random(45)
+    for L in (385, 595, 770, 935):
+        v = [rng.uniform(-1, 1) for _ in range(L)]
+        measured_g = measure("goertzel", v, 1).counts.real_mults
+        assert measure("jco_goertzel", v, 1).counts.real_mults <= measured_g, L
