@@ -220,13 +220,14 @@ class BinResult:
 
 
 def _cyclo_reduce(v, spec: BinSpec, rec: OpRecorder) -> list:
-    # Fold modulo x**L - 1 (N - L adds), then reduce by Phi_{r_i}(x**(L/r_i))
-    # for r_i = p_1...p_i over the distinct primes of L, ascending; the last
-    # modulus is Phi_L. perfbench/layers.py wraps reduce_by_intpoly by this
-    # module's name, so it is called as a global here.
+    # Fold modulo x**L - 1 (len(v) - L adds; none for streaming's L slots),
+    # then reduce by Phi_{r_i}(x**(L/r_i)) for r_i = p_1...p_i over the
+    # distinct primes of L, ascending; the last modulus is Phi_L.
+    # perfbench/layers.py wraps reduce_by_intpoly by this module's name, so
+    # it is called as a global here.
     L = spec.L
     R = v[:L]
-    for start in range(L, spec.N, L):
+    for start in range(L, len(v), L):
         R = [rec.add(a, b) for a, b in zip(R, v[start:start + L])]
     r = 1
     for p, _ in factorize(L):

@@ -11,7 +11,9 @@ Nominal formulas (real input, N >= 2):
                    2*(phi(L)-1)  otherwise (the two reduction stages coincide)
 
 L comes from BinSpec.for_bin; A is trivial exactly when L is in
-algorithms.TRIVIAL_A_ORDERS. Measured counts can come in under nominal
+algorithms.TRIVIAL_A_ORDERS. "stream" runs jco's stages after an online
+fold, and its value and counts are jco's, so every statement about jco
+here holds for stream. Measured counts can come in under nominal
 (final evaluation at special angles, trivial tap values). They stay at or
 under it while no cyclotomic stage has a tap above 2 in magnitude (every
 L < 385): at (385, 1) jco measures 550 mults against 478 nominal. Over
@@ -101,7 +103,9 @@ def measure(alg: str, v, k: int):
 
     The counts in the result are measured under the cost policy; the value
     is identical to an uninstrumented run. The function is looked up on each
-    call, so a rebinding of e.g. algorithms.jco_bin is honoured.
+    call, so a rebinding of e.g. algorithms.jco_bin is honoured. Samples are
+    trusted: none is checked for being finite, and a NaN or inf sample
+    propagates to the value.
     """
     module = ALGORITHMS.get(alg)
     if module is None:

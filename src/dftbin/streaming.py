@@ -1,25 +1,29 @@
-"""Sample-at-a-time filter realization of the cyclotomic single-bin reduction.
+"""Sample-at-a-time realization of the cyclotomic single-bin reduction.
 
-The filter is an autoregressive section whose feedback taps are the integer
-coefficients of the order-L cyclotomic polynomial (trivial multiplications),
-followed by a single final dot product against totient(L) numerator taps.
-Samples are consumed in arrival order with no input buffering; the numerator
-multiplications happen once, at finalize time.
+The register is an online fold modulo x**L - 1: slot n mod L accumulates
+every sample v_n, so it holds L values, and a push is one add (an append
+for the first L samples) with no multiplication, whatever the taps of
+Phi_L. This is the autoregressive filter 1/(1 - z**-L). Since x**L - 1 is
+the product of Phi_d over d | L, it is a multiple of the paper's feedback
+polynomial Phi_L, and the folded sum has the signal's remainder modulo
+Phi_L. finalize then runs the tail of the block "jco" algorithm on the L
+slots: the chain of sparse cyclotomic factors and the evaluation at W. The
+slots are the sums jco's fold forms, added in the same order, so the value
+and counts of "stream" are jco's, bit for bit.
 
-The register is a fixed-length deque of totient(L) values, so the shift is
-one append, and a push visits only the nonzero feedback taps, applying a
-+-1 tap as an add: O(nnz(Phi_L)) work per sample, not O(totient(L)).
-
+design_filter still designs the paper's filter form, which `dftbin filter`
+exports: the integer feedback taps of Phi_L and totient(L) numerator taps.
 The numerator comes from synthetic division of the (sign-normalized)
 cyclotomic polynomial by (1 - Wbar*u), Wbar = exp(+2j pi k / N): one exact
 recurrence instead of the phi(L)-1 factor product, which is kept only as a
-test oracle. The division residual is checked at design time. The bin's k
-and L come from algorithms.BinSpec.for_bin, which validates (N, k).
+test oracle. The division residual is checked at design time, and a stream
+starts from a designed FilterSpec. The bin's k and L come from
+algorithms.BinSpec.for_bin, which validates (N, k).
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 
+from . import algorithms
 from .algorithms import BinResult, BinSpec, OpRecorder, root_power
 from .cyclotomic import cyclotomic
 # bin_order is unused here, but perfbench/layers.py wraps it by this name.
@@ -77,15 +81,13 @@ class FilterSpec:
 class FilterState:
     """Mutable run state: exclusively owned by one execution context.
 
-    w is the shift register, a deque of fixed length totient(L) kept in
-    arrival order (w[0] oldest, w[-1] newest): appending a value drops the
-    oldest. taps holds the nonzero feedback taps as (register index, -b_j)
-    pairs in ascending j, so a push costs O(nnz(Phi_L)).
+    w holds the fold's slots in a list: w[i] is the sum, in arrival order,
+    of the samples v_n with n mod L = i. It grows by one slot per push over
+    the first L samples and then keeps its length L.
     """
 
     spec: FilterSpec
-    w: deque
-    taps: tuple[tuple[int, int], ...]
+    w: list = field(default_factory=list)
     samples_consumed: int = 0
     rec: OpRecorder = field(default_factory=OpRecorder)
 
@@ -110,46 +112,34 @@ def design_filter(N: int, k: int) -> FilterSpec:
 
 
 def new_state(spec: FilterSpec) -> FilterState:
-    deg = len(spec.a)
-    # Register values j back sit at w[-j]; ascending j keeps the float sum
-    # in the order of the feedback polynomial.
-    taps = tuple((-j, -bj) for j, bj in enumerate(spec.b) if j and bj)
-    return FilterState(spec, deque([0j] * deg, maxlen=deg), taps)
-
-
-def _ar_step(state: FilterState, sample) -> None:
-    # acc = sample - sum(b_j * w_{n-j}) over the nonzero b_j.
-    w = state.w
-    rec = state.rec
-    acc = sample
-    for i, neg_bj in state.taps:
-        if neg_bj == 1:
-            acc = rec.add(acc, w[i])
-        elif neg_bj == -1:
-            acc = rec.add(acc, -w[i])
-        else:
-            acc = rec.add(acc, rec.mul(w[i], neg_bj))
-    w.append(acc)
+    return FilterState(spec)
 
 
 def push(state: FilterState, sample) -> FilterState:
-    """Feed one sample (arrival order). Only trivial feedback taps are used,
-    so a ternary cyclotomic costs no multiplications here."""
-    if state.samples_consumed >= state.spec.N:
-        raise ValueError(
-            f"filter already consumed {state.spec.N} samples; call finalize")
-    _ar_step(state, sample)
-    state.samples_consumed += 1
+    """Feed one sample (arrival order) into slot n mod L: an append for the
+    first L samples, then one add each. No multiplications."""
+    n, N, L = state.samples_consumed, state.spec.N, state.spec.L
+    if n >= N:
+        raise ValueError(f"filter already consumed {N} samples; call finalize")
+    w = state.w
+    if n < L:
+        w.append(sample)
+    else:
+        i = n % L
+        w[i] = state.rec.add(w[i], sample)
+    state.samples_consumed = n + 1
     return state
 
 
 def finalize(state: FilterState, spec: FilterSpec) -> BinResult:
-    """One zero-input step, then the single numerator dot product.
+    """Reduce the L slots by the chain of sparse cyclotomic factors, then
+    evaluate the remainder at W, as "jco" does after its fold.
 
-    The taps are read from state.spec; the spec argument must be state.spec
-    or equal to it, else ValueError. Requires exactly N pushed samples;
-    returns the bin value with the counts accumulated over the whole run.
-    The product starts from the newest register value, since a[0] = 1.
+    The bin is read from state.spec; the spec argument must be state.spec
+    or equal to it, else ValueError. Requires exactly N pushed samples, and
+    a state finalizes once; returns the bin value with the counts
+    accumulated over the whole run. The two stages are called as attributes
+    of dftbin.algorithms, where perfbench/layers.py wraps them.
     """
     if spec != state.spec:
         raise ValueError(f"spec is not the state's (N={state.spec.N}, k={state.spec.k})")
@@ -157,14 +147,10 @@ def finalize(state: FilterState, spec: FilterSpec) -> BinResult:
     if state.samples_consumed != spec.N:
         raise ValueError(
             f"finalize needs exactly {spec.N} samples, got {state.samples_consumed}")
-    _ar_step(state, 0j)
     state.samples_consumed += 1
-    rec = state.rec
-    newest_first = reversed(state.w)
-    value = next(newest_first)
-    for wm, am in zip(newest_first, spec.a[1:]):
-        value = rec.add(value, rec.mul(wm, am))
-    return BinResult(value, rec.counts(), "stream")
+    bin_spec, rec = BinSpec.for_bin(spec.N, spec.k), state.rec
+    R = algorithms._cyclo_reduce(state.w, bin_spec, rec)
+    return BinResult(algorithms._eval_remainder(R, bin_spec, rec), rec.counts(), "stream")
 
 
 def stream_bin(v, k: int) -> BinResult:

@@ -98,7 +98,8 @@ def dense_stream(v, spec):
     """The streaming filter as first written: a list register shifted with
     pop(0), every one of the totient(L) feedback slots visited per sample,
     and every tap (a[0] = 1 included) applied through OpRecorder.mul.
-    Returns (value, OpCounts); the library's sparse register must match it."""
+    Returns (value, OpCounts): the paper's realization, which the library's
+    fold register must match within rounding and never cost more than."""
     rec = OpRecorder()
     deg = len(spec.a)
     w = [0j] * deg

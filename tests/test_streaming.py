@@ -87,7 +87,7 @@ def test_push_examples():
     state = new_state(spec)
     for sample in (1, 1, 1):
         push(state, sample)
-    assert list(state.w) == [1]
+    assert list(state.w) == [2, 1]
 
 
 def test_push_limit_enforced():
@@ -167,20 +167,40 @@ def test_streaming_matches_block_jco():
                 assert abs(got - want) <= 1e-10 * N * scale, (N, k)
 
 
-def test_sparse_register_matches_dense_reference():
+def test_stream_matches_jco_and_dense_reference():
+    # The fold register finishes with jco's stages, so value and counts are
+    # jco's exactly; the paper's dense AR register is the independent oracle.
     rng = random.Random(43)
-    for N in range(1, 61):
+    for N in [*range(1, 61), 105, 205, 385, 1155]:
+        ks = range(N) if N <= 60 else sorted({k % N for k in (0, 1, 3, 5, 7, 11, 35, N // 2)})
         for v in (_rand_real(rng, N), _rand_complex(rng, N)):
-            for k in range(N):
+            rms_bin = math.sqrt(sum(abs(c) ** 2 for c in v))  # Parseval
+            for k in ks:
                 got = measure("stream", v, k)
-                want, counts = dense_stream(v, design_filter(N, k))
-                assert got.value == want, (N, k)
-                assert got.counts == counts, (N, k)
+                want = jco_bin(v, k)
+                assert (got.value, got.counts) == (want.value, want.counts), (N, k)
+                value, counts = dense_stream(v, design_filter(N, k))
+                assert abs(got.value - value) <= 1e-12 * rms_bin, (N, k)
+                assert got.counts.real_mults <= counts.real_mults, (N, k)
+                assert got.counts.real_adds <= counts.real_adds, (N, k)
+
+
+def test_push_is_one_add_per_sample_after_the_first_L():
+    # A push that visits the feedback taps again would charge more adds,
+    # and mults at (1155, 1), where Phi_1155 has taps of magnitude 3.
+    rng = random.Random(53)
+    for N, k in ((12012, 7), (1155, 1)):
+        spec = design_filter(N, k)
+        state = new_state(spec)
+        for sample in _rand_real(rng, N):
+            push(state, sample)
+        assert (state.rec.mults, state.rec.adds) == (0, N - spec.L), (N, k)
+        assert len(state.w) == spec.L
 
 
 def test_streaming_large_length():
-    # 32768 register slots with 2 nonzero feedback taps: the push loop must
-    # not visit the zero slots, or this takes minutes.
+    # 65536 slots, reduced at finalize by the 2-tap x**32768 + 1: a
+    # reduction that visited the zero taps would take minutes.
     N = 65536
     v = _rand_real(random.Random(47), N)
     got = measure("stream", v, 1).value
