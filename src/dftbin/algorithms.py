@@ -5,17 +5,20 @@ All four take the signal as a list of real or complex samples and the bin
 index k, and return a BinResult carrying the bin value and the measured
 real-operation counts. Values agree with the naive oracle to floating-point
 accuracy. BinSpec.for_bin(N, k) is the one derivation of a bin, for every
-tag, streaming.design_filter and complexity.nominal_costs: it rejects N < 1
-and a non-integral k, reduces k modulo N, and derives L, W and A; A is an
-integer (0, +-1, +-2) exactly when L is in TRIVIAL_A_ORDERS.
+tag, streaming.design_filter and complexity.nominal_costs: it rejects a
+non-integral N, N < 1 and a non-integral k, reduces k modulo N, and derives
+L, W and A; A is an integer (0, +-1, +-2) exactly when L is in
+TRIVIAL_A_ORDERS.
 
-The two reduction variants share the same structure: divide the signal
-polynomial by a modulus that vanishes at the bin's root of unity, then
-evaluate the short remainder there. Goertzel uses the fixed degree-2 real
-minimal polynomial 1 - A*x + x**2; "jco" uses the cyclotomic polynomial of
-the bin's order L (integer taps, multiplication-free below order 385);
-"jco_goertzel" chains both reductions, cheapest of the three for L < 385.
-Each run meters itself with its own OpRecorder, under the policy below.
+Every tag has the same structure: divide the signal polynomial by a
+modulus that vanishes at the bin's root of unity, then evaluate the short
+remainder there. The evaluation is one stage, shared by every tag (and by
+streaming.finalize); naive summation is that stage on the unreduced signal.
+Goertzel reduces by the fixed degree-2 real minimal polynomial
+1 - A*x + x**2; "jco" by the cyclotomic polynomial of the bin's order L
+(integer taps, multiplication-free below order 385); "jco_goertzel" chains
+both reductions, cheapest of the three for L < 385. Each run meters itself
+with its own OpRecorder, under the policy below.
 
 "jco" and "jco_goertzel" share one cyclotomic stage. It first folds the
 signal modulo x**L - 1: L divides N and Phi_L divides x**L - 1, so adding
@@ -25,9 +28,8 @@ sum is then reduced once per distinct prime of L, p_1 < ... < p_s: with
 r_i = p_1...p_i, stage i reduces by Phi_{r_i}(x**(L/r_i)), which divides
 the previous stage's modulus, and the last is Phi_L = Phi_{rad L}(x**(L/rad L)).
 Stage i takes (L/r_i) * phi(r_{i-1}) steps of nnz(Phi_{r_i}) - 1 adds each,
-so the cyclotomic stage costs N - L adds plus the sum of those (420 at
-L = 205, where one reduction by Phi_205 costs 2880); a prime-power L is a
-single reduction.
+so the cyclotomic stage costs N - L adds plus the sum of those; a
+prime-power L is a single reduction.
 
 Goertzel's degree-2 stage runs the plain recursion by A, except where
 |A| >= REINSCH_MIN_A = 1.875 at an order outside TRIVIAL_A_ORDERS: there it
@@ -160,9 +162,9 @@ class OpRecorder:
 _QUARTER_TURNS = (1 + 0j, -1j, -1 + 0j, 1j)
 
 
-def root_power(N: int, k: int, m: int = 1) -> complex:
-    """exp(-2j pi k m / N), angle reduced modulo N; quarter turns are exact."""
-    r = (k * m) % N
+def root_power(N: int, k: int) -> complex:
+    """exp(-2j pi k / N), angle reduced modulo N; quarter turns are exact."""
+    r = k % N
     q, frac = divmod(4 * r, N)
     if frac == 0:
         return _QUARTER_TURNS[q]
@@ -188,8 +190,6 @@ class BinSpec:
 
     @classmethod
     def for_bin(cls, N: int, k: int) -> "BinSpec":
-        if N < 1:
-            raise ValueError(f"signal length must be >= 1, got {N}")
         k = bin_index(N, k)
         L = bin_order(N, k)
         W = root_power(N, k)
@@ -241,35 +241,28 @@ def _cyclo_reduce(v, spec: BinSpec, rec: OpRecorder) -> list:
 
 
 def _eval_remainder(R, spec: BinSpec, rec: OpRecorder) -> complex:
-    # Dot product against the prestored powers W**m; each real tap costs at
-    # most 2 real multiplications, matching the classic per-tap accounting.
-    acc = complex(R[0]) if R else 0j
+    # Each nonzero real tap past the constant costs at most 2 real
+    # multiplications, matching the classic per-tap accounting.
+    acc = complex(R[0])
     for m in range(1, len(R)):
         c = R[m]
         if c == 0:
             continue
-        acc = rec.add(acc, rec.mul(c, root_power(spec.N, spec.k, m)))
+        acc = rec.add(acc, rec.mul(c, root_power(spec.N, spec.k * m)))
     return acc
-
-
-def _eval_goertzel(R, spec: BinSpec, rec: OpRecorder) -> complex:
-    r0, r1 = reduce_by_pk(R, spec.A, rec, spec.lam)
-    return rec.add(r0, rec.mul(r1, spec.W))
 
 
 def naive_bin(v, k: int) -> BinResult:
     """Direct summation of v_n * W**(k n): the reference oracle."""
     spec, rec = BinSpec.for_bin(len(v), k), OpRecorder()
-    acc = complex(v[0])
-    for n in range(1, spec.N):
-        acc = rec.add(acc, rec.mul(v[n], root_power(spec.N, spec.k, n)))
-    return BinResult(acc, rec.counts(), "naive")
+    return BinResult(_eval_remainder(v, spec, rec), rec.counts(), "naive")
 
 
 def goertzel_bin(v, k: int) -> BinResult:
     """Second-order real reduction, then one evaluation at W."""
     spec, rec = BinSpec.for_bin(len(v), k), OpRecorder()
-    return BinResult(_eval_goertzel(v, spec, rec), rec.counts(), "goertzel")
+    R = reduce_by_pk(v, spec.A, rec, spec.lam)
+    return BinResult(_eval_remainder(R, spec, rec), rec.counts(), "goertzel")
 
 
 def jco_bin(v, k: int) -> BinResult:
@@ -286,5 +279,5 @@ def jco_goertzel_bin(v, k: int) -> BinResult:
     already has at most 2 taps, and the degree-2 stage passes it through.
     """
     spec, rec = BinSpec.for_bin(len(v), k), OpRecorder()
-    R = _cyclo_reduce(v, spec, rec)
-    return BinResult(_eval_goertzel(R, spec, rec), rec.counts(), "jco_goertzel")
+    R = reduce_by_pk(_cyclo_reduce(v, spec, rec), spec.A, rec, spec.lam)
+    return BinResult(_eval_remainder(R, spec, rec), rec.counts(), "jco_goertzel")

@@ -75,25 +75,30 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def bin_index(N: int, k) -> int:
-    """Bin index k reduced modulo N (DFT bins are periodic in k).
-
-    k must be integral (an int or anything with __index__); a float such as
-    1.5, even 2.0, is rejected with ValueError rather than rounded.
-    """
+def _integer(x, name: str) -> int:
     try:
-        k = operator.index(k)
+        return operator.index(x)
     except TypeError:
-        raise ValueError(f"bin index must be an integer, got {k!r}") from None
-    return k % N
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+
+
+def bin_index(N: int, k) -> int:
+    """Bin index k reduced modulo the length N (DFT bins are periodic in k).
+
+    N must be an integer >= 1 and k integral (an int or anything with
+    __index__); a float such as 1.5, even 2.0, is rejected with ValueError
+    rather than rounded, and N is checked first.
+    """
+    N = _integer(N, "signal length")
+    if N < 1:
+        raise ValueError(f"signal length must be >= 1, got {N}")
+    return _integer(k, "bin index") % N
 
 
 def bin_order(N: int, k: int) -> int:
     """Multiplicative order L of the N-th root of unity raised to k.
 
-    k may be any integer; it is reduced modulo N first, so k = 0 gives
-    L = 1. L always divides N.
+    N and k are checked by bin_index, and k is reduced modulo N first, so
+    k = 0 gives L = 1. L always divides N.
     """
-    if N < 1:
-        raise ValueError(f"bin_order expects N >= 1, got {N}")
     return N // math.gcd(N, bin_index(N, k))

@@ -1,0 +1,47 @@
+"""Every tag against numpy.fft.fft over N up to 65537.
+
+Hypothesis draws N with its bias toward small integers, so most examples are
+short and the long ones stay few; (65537, 1) is always run. The examples are
+derandomized, so each run checks the same cases in the same time.
+"""
+
+import math
+import random
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from dftbin.complexity import measure
+from dftbin.streaming import design_filter
+
+MAX_N = 65537
+NAIVE_MAX_N = 4096
+TOLERANCE = 1e-9  # of the rms bin magnitude
+
+bins = st.integers(1, MAX_N).flatmap(lambda N: st.tuples(st.just(N), st.integers(0, N - 1)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(bin_=bins, is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(bin_=(MAX_N, 1), is_complex=False, seed=0)
+def test_every_tag_within_tolerance_of_numpy(bin_, is_complex, seed):
+    N, k = bin_
+    rng = random.Random(seed)
+    if is_complex:
+        v = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(N)]
+    else:
+        v = [rng.uniform(-1, 1) for _ in range(N)]
+    ref = complex(np.fft.fft(np.asarray(v, dtype=complex))[k])
+    rms = math.sqrt(sum(abs(c) ** 2 for c in v))
+    tags = ("goertzel", "jco", "jco_goertzel") + (("naive",) if N <= NAIVE_MAX_N else ())
+    for tag in tags:
+        assert abs(measure(tag, v, k).value - ref) <= TOLERANCE * rms, (tag, N, k)
+    try:
+        design_filter(N, k)
+    except ArithmeticError:
+        # The filter design's residual check fails at some large prime
+        # orders, (65537, 1) among them; there is no stream to compare.
+        return
+    stream, jco = measure("stream", v, k), measure("jco", v, k)
+    assert stream.value == jco.value, (N, k)
+    assert stream.counts == jco.counts, (N, k)

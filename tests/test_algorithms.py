@@ -7,7 +7,7 @@ import pytest
 from fractions import Fraction
 
 from dftbin.algorithms import (REINSCH_MIN_A, SNAP_TOLERANCE, TRIVIAL_A_ORDERS, BinSpec,
-                               OpRecorder, _cyclo_reduce, _eval_goertzel, _eval_remainder,
+                               OpRecorder, _cyclo_reduce, _eval_remainder,
                                goertzel_bin, jco_bin, jco_goertzel_bin, naive_bin, root_power)
 from dftbin.complexity import measure, nominal_costs
 from dftbin.cyclotomic import cyclotomic
@@ -155,6 +155,13 @@ def test_empty_signal_rejected():
             derive(0, 1)
 
 
+@pytest.mark.parametrize("derive,N", [(nominal_costs, 4.0), (design_filter, 4.5),
+                                      (nominal_costs, "8"), (bin_order, 4.0)])
+def test_non_integral_length_rejected(derive, N):
+    with pytest.raises(ValueError, match="signal length must be an integer"):
+        derive(N, 1)
+
+
 @pytest.mark.parametrize("alg", ["naive", "goertzel", "jco", "jco_goertzel", "stream"])
 def test_non_integral_bin_rejected(alg):
     for k in (1.5, 2.0, "1"):
@@ -221,14 +228,15 @@ def test_counts_nonnegative_and_tagged():
 
 def _unfolded(v, k):
     # The cyclotomic reduction over all N coefficients, then each tag's
-    # evaluate stage on its own copy of the counts.
+    # remaining stages on its own copy of the counts.
     spec, rec = BinSpec.for_bin(len(v), k), OpRecorder()
     R = reduce_by_intpoly(v, cyclotomic(spec.L), rec)
     out = {}
-    for tag, evaluate in (("jco", _eval_remainder), ("jco_goertzel", _eval_goertzel)):
+    for tag, degree2 in (("jco", False), ("jco_goertzel", True)):
         tag_rec = OpRecorder()
         tag_rec.mults, tag_rec.adds = rec.mults, rec.adds
-        out[tag] = (evaluate(R, spec, tag_rec), tag_rec.counts())
+        tag_R = reduce_by_pk(R, spec.A, tag_rec, spec.lam) if degree2 else R
+        out[tag] = (_eval_remainder(tag_R, spec, tag_rec), tag_rec.counts())
     return out
 
 

@@ -41,8 +41,8 @@ def test_kernels_are_called_through_module_globals(tracer):
         complexity.measure(alg, v, 1)
     layers = tracer.layers
     # goertzel_bin, jco_bin, jco_goertzel_bin, and _eval_remainder inside
-    # jco_bin and inside streaming.finalize.
-    assert layers["algorithms"].calls == 5
+    # naive_bin, goertzel_bin, jco_bin, jco_goertzel_bin and streaming.finalize.
+    assert layers["algorithms"].calls == 8
     assert layers["algorithms"].extra["eval_taps"] > 0
     # One cyclotomic stage per distinct prime of L = 48 = 2**4 * 3, for each
     # of jco, jco_goertzel and stream.
