@@ -40,14 +40,14 @@ one. Its multiplications are the plain form's, with one more add per step.
 
 Cost policy
 -----------
-A real multiplication by a constant c is *trivial* (free) when |c| is 0, 1,
-or 2 (sign changes and one-bit shifts need no multiplier). Multiplying a real
-value by a complex constant a+bj costs one real multiplication per *distinct*
-nontrivial magnitude among {|a|, |b|}: when |a| == |b| the product is computed
-once and reused for both components. Multiplying a complex value doubles the
-per-constant cost. Classification depends only on the constant, never on the
-data, except that an exactly-zero multiplicand performs no work at all (the
-warm-up steps of a shift register).
+A real multiplication by a constant c is *trivial* (free) when |c| is exactly
+0, 1 or 2 (sign changes and one-bit shifts need no multiplier). Multiplying a
+real value by a complex constant a+bj costs one real multiplication per
+*distinct* nontrivial magnitude among {|a|, |b|}: when |a| == |b| the product
+is computed once and reused for both components. Multiplying a complex value
+doubles the per-constant cost. Classification depends only on the constant,
+never on the data, except that an exactly-zero multiplicand performs no work
+at all (the warm-up steps of a shift register).
 
 Additions are counted per real component: an add whose operands are both
 nonzero counts 1, so a full complex + complex add counts 2 and adds against
@@ -55,15 +55,16 @@ a still-zero register are free. A subtraction is an add of the negated
 operand and counts the same. This is the declared convention for every
 "measured adds" figure produced by this package.
 
-Constants produced by cos/sin carry float roundoff, so magnitudes are snapped
-to the trivial set within SNAP_TOLERANCE = 1e-12. The bin's own constants
-are the exception: BinSpec.for_bin enters their cost in the recorder's cost
-table, charged on L. A and lam cost 1, and are free exactly when L is in
-TRIVIAL_A_ORDERS (lam is then unset); W costs 2, 1 at L = 8, and is free at
-L in (1, 2, 4). Without this, from N of about 4.4e6 on the snap would free
-the real part of W next to k = 0 and k = N/2, and from 6.28e6 on A itself
-and lam. From N of about 5.96e8 on, A rounds to exactly +-2.0 in float
-there; the run still gets the requested bin, because it multiplies by lam.
+There is no tolerance: _const_cost charges what the float run does, and
+_COST_CACHE only memoises it. root_power returns every multiple of an eighth
+turn exactly and A is an integer on TRIVIAL_A_ORDERS, so below N of about
+5.96e8 the bin's constants are charged on L: A and lam cost 1, and W costs 2,
+1 at L = 8 and nothing at L in (1, 2, 4). The evaluation stage's powers W**m
+are charged in full too, though next to k = 0 their real parts lie within
+1e-12 of 1 from N of about 4.4e6 on. From N of about 5.96e8 on, next to
+k = 0, N/4, N/2 and 3N/4, one component of W rounds to exactly +-1.0, so the
+float run does one multiplication fewer and W is charged 1; next to k = 0
+and N/2, A rounds to +-2.0 and is free, but the run multiplies by lam.
 """
 
 import cmath
@@ -79,7 +80,6 @@ __all__ = [
     "OpCounts",
     "OpRecorder",
     "TRIVIAL_MAGNITUDES",
-    "SNAP_TOLERANCE",
     "TRIVIAL_A_ORDERS",
     "REINSCH_MIN_A",
     "BinSpec",
@@ -93,7 +93,6 @@ __all__ = [
 
 
 TRIVIAL_MAGNITUDES = (0.0, 1.0, 2.0)
-SNAP_TOLERANCE = 1e-12
 TRIVIAL_A_ORDERS = frozenset((1, 2, 3, 4, 6))
 REINSCH_MIN_A = 1.875
 
@@ -106,19 +105,9 @@ class OpCounts:
     real_adds: int = 0
 
 
-def _is_trivial_magnitude(m: float) -> bool:
-    return any(abs(m - t) <= SNAP_TOLERANCE for t in TRIVIAL_MAGNITUDES)
-
-
 def _const_cost(c) -> int:
-    a = abs(c.real)
-    b = abs(c.imag)
-    cost = 0
-    if not _is_trivial_magnitude(a):
-        cost += 1
-    if not _is_trivial_magnitude(b) and abs(a - b) > SNAP_TOLERANCE:
-        cost += 1
-    return cost
+    a, b = abs(c.real), abs(c.imag)
+    return (a not in TRIVIAL_MAGNITUDES) + (b not in TRIVIAL_MAGNITUDES and b != a)
 
 
 _COST_CACHE: dict[complex, int] = {}
@@ -159,15 +148,17 @@ class OpRecorder:
         return OpCounts(self.mults, self.adds)
 
 
-_QUARTER_TURNS = (1 + 0j, -1j, -1 + 0j, 1j)
+_H = math.sqrt(0.5)  # correctly rounded, unlike cmath.exp's cos and sin there
+_EIGHTH_TURNS = (1 + 0j, complex(_H, -_H), -1j, complex(-_H, -_H),
+                 -1 + 0j, complex(-_H, _H), 1j, complex(_H, _H))
 
 
 def root_power(N: int, k: int) -> complex:
-    """exp(-2j pi k / N), angle reduced modulo N; quarter turns are exact."""
+    """exp(-2j pi k / N), angle reduced modulo N; eighth turns are exact."""
     r = k % N
-    q, frac = divmod(4 * r, N)
+    q, frac = divmod(8 * r, N)
     if frac == 0:
-        return _QUARTER_TURNS[q]
+        return _EIGHTH_TURNS[q]
     return cmath.exp(complex(0.0, -2.0 * math.pi * r / N))
 
 
@@ -197,18 +188,12 @@ class BinSpec:
         lam = None
         if L in TRIVIAL_A_ORDERS:
             A = float(round(A))
-        else:
-            if abs(A) >= REINSCH_MIN_A:
-                # -4 sin^2(pi k / N), or 4 cos^2(pi k / N) = 4 sin^2(pi (N - 2k) / 2N),
-                # from an exact integer angle, so lam keeps full relative precision.
-                half = math.sin(math.pi * min(k, N - k) / N if A > 0
-                                else math.pi * (N - 2 * k) / (2 * N))
-                lam = math.copysign(4.0 * half * half, -A)
-                _COST_CACHE[lam] = 1
-            if abs(A) not in TRIVIAL_MAGNITUDES:
-                _COST_CACHE[A] = 1
-        if L not in (1, 2, 4):
-            _COST_CACHE[W] = 1 if L == 8 else 2
+        elif abs(A) >= REINSCH_MIN_A:
+            # -4 sin^2(pi k / N), or 4 cos^2(pi k / N) = 4 sin^2(pi (N - 2k) / 2N),
+            # from an exact integer angle, so lam keeps full relative precision.
+            half = math.sin(math.pi * min(k, N - k) / N if A > 0
+                            else math.pi * (N - 2 * k) / (2 * N))
+            lam = math.copysign(4.0 * half * half, -A)
         return cls(N, k, L, W, A, lam)
 
 

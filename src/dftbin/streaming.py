@@ -119,8 +119,9 @@ def push(state: FilterState, sample) -> FilterState:
     """Feed one sample (arrival order) into slot n mod L: an append for the
     first L samples, then one add each. No multiplications."""
     n, N, L = state.samples_consumed, state.spec.N, state.spec.L
-    if n >= N:
-        raise ValueError(f"filter already consumed {N} samples; call finalize")
+    if n >= N:  # finalize leaves n = N + 1
+        raise ValueError("filter already finalized" if n > N
+                         else f"filter already consumed {N} samples; call finalize")
     w = state.w
     if n < L:
         w.append(sample)
@@ -144,10 +145,11 @@ def finalize(state: FilterState, spec: FilterSpec) -> BinResult:
     if spec != state.spec:
         raise ValueError(f"spec is not the state's (N={state.spec.N}, k={state.spec.k})")
     spec = state.spec
-    if state.samples_consumed != spec.N:
-        raise ValueError(
-            f"finalize needs exactly {spec.N} samples, got {state.samples_consumed}")
-    state.samples_consumed += 1
+    n = state.samples_consumed
+    if n != spec.N:
+        raise ValueError("filter already finalized" if n > spec.N
+                         else f"finalize needs exactly {spec.N} samples, got {n}")
+    state.samples_consumed = n + 1
     bin_spec, rec = BinSpec.for_bin(spec.N, spec.k), state.rec
     R = algorithms._cyclo_reduce(state.w, bin_spec, rec)
     return BinResult(algorithms._eval_remainder(R, bin_spec, rec), rec.counts(), "stream")

@@ -6,7 +6,7 @@ import pytest
 
 from fractions import Fraction
 
-from dftbin.algorithms import (REINSCH_MIN_A, SNAP_TOLERANCE, TRIVIAL_A_ORDERS, BinSpec,
+from dftbin.algorithms import (REINSCH_MIN_A, TRIVIAL_A_ORDERS, BinSpec,
                                OpRecorder, _cyclo_reduce, _eval_remainder,
                                goertzel_bin, jco_bin, jco_goertzel_bin, naive_bin, root_power)
 from dftbin.complexity import measure, nominal_costs
@@ -35,6 +35,21 @@ def test_root_power_quarter_turns_exact():
     assert root_power(16, 12) == 1j
     assert root_power(5, 0) == 1
     assert abs(root_power(8, 1) - complex(math.sqrt(2) / 2, -math.sqrt(2) / 2)) < 1e-15
+    h = math.sqrt(0.5)
+    assert root_power(8, 1) == complex(h, -h)
+    assert root_power(1024, 896) == complex(h, h)
+
+
+def test_const_cost_independent_of_process_history():
+    # cos(2 pi / N) lies within 1e-12 of 1 at N = 3 * 2**22, and no earlier
+    # computation of the same bin's constants changes what it costs.
+    N = 3 << 22
+    c = 2 * math.cos(2 * math.pi / N)
+    for _ in range(2):
+        rec = OpRecorder()
+        rec.mul(1.0, c)
+        assert rec.mults == 1
+        nominal_costs(N, 1)
 
 
 def test_bin_spec_invariants():
@@ -58,8 +73,8 @@ def test_bin_spec_A_integral_exactly_at_trivial_orders():
 
 
 def test_goertzel_A_charged_on_order_at_large_N():
-    # At N = 2**23 the k = 1 constant lies within the 1e-12 snap of 2, yet
-    # L = N is not a trivial order: 5 steps, the first on an empty register.
+    # At N = 2**23 the k = 1 constant lies within 1e-12 of 2, yet L = N is
+    # not a trivial order: 5 steps, the first on an empty register.
     N = 1 << 23
     for k, mults in ((1, 4), (N // 4, 0), (N // 2, 0)):
         rec = OpRecorder()
@@ -328,10 +343,10 @@ def test_cyclotomic_stage_adds_within_chain_bound(N, k):
 
 
 def test_w_and_lam_charged_on_order():
-    # At (2**23, 1) the real part of W lies within the snap of 1, and lam
-    # (about -5.6e-13) within the snap of 0; both are charged on L all the same.
+    # At (2**23, 1) the real part of W lies within 1e-12 of 1, and lam
+    # (about -5.6e-13) within 1e-12 of 0; the exact rule charges both.
     spec = BinSpec.for_bin(1 << 23, 1)
-    assert abs(spec.lam) < SNAP_TOLERANCE
+    assert abs(spec.lam) < 1e-12
     for const, cost in ((spec.W, 2), (spec.lam, 1), (spec.A, 1)):
         rec = OpRecorder()
         rec.mul(1.0, const)

@@ -42,7 +42,7 @@ REFERENCE_ROWS = [
     (complex(-SQ2 / 2, SQ2 / 2), 1),
     (complex(0.5, math.sqrt(3) / 2), 2),     # two distinct nontrivial magnitudes
     (complex(1.0, 0.3), 1),
-    (1.0 + 1e-13, 0),                        # snapped to trivial
+    (1.0 + 1e-13, 1),                        # no tolerance: charged
 ])
 def test_const_mult_cost(c, cost):
     rec = OpRecorder()

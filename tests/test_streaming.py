@@ -99,6 +99,18 @@ def test_push_limit_enforced():
         push(state, 5)
 
 
+def test_finalized_stream_says_so():
+    spec = design_filter(4, 1)
+    state = new_state(spec)
+    for sample in (1, 2, 3, 4):
+        push(state, sample)
+    finalize(state, spec)
+    with pytest.raises(ValueError, match="already finalized"):
+        finalize(state, spec)
+    with pytest.raises(ValueError, match="already finalized"):
+        push(state, 5)
+
+
 def test_finalize_requires_full_block():
     spec = design_filter(4, 1)
     state = new_state(spec)
