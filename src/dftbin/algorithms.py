@@ -37,6 +37,10 @@ runs Reinsch's form with lam = A -+ 2, taken from the half angle in full
 relative precision (BinSpec.lam). The plain form amplifies rounding by
 about 1/|lam| near |A| = 2; at mid-range A, Reinsch's is the less accurate
 one. Its multiplications are the plain form's, with one more add per step.
+At L in (1, 2) (k = 0 and N/2), A = +-2 makes 1 - A*x + x**2 a square, on
+whose double root the plain form's rounding grows like N**2; there
+Reinsch's form runs with lam = 0, which costs no multiplication and, since
+lam*s is an exact zero, one more add per call rather than per step.
 
 Cost policy
 -----------
@@ -74,7 +78,7 @@ from dataclasses import dataclass
 from .cyclotomic import cyclotomic
 # totient is unused here, but perfbench/layers.py wraps it by this name.
 from .numtheory import bin_index, bin_order, factorize, totient  # noqa: F401
-from .polynomial import reduce_by_intpoly, reduce_by_pk
+from .polynomial import fold, reduce_by_intpoly, reduce_by_pk
 
 __all__ = [
     "OpCounts",
@@ -137,6 +141,16 @@ class OpRecorder:
             self.mults += cost if value.imag == 0 else 2 * cost
         return value * const
 
+    def bulk(self, steps, adds, const, width):
+        """Charge `steps` kernel steps that have no zero operand at once: each
+        makes `adds` adds and multiplies a value of `width` nonzero
+        components (1 real, 2 complex) by const, charged as mul() would."""
+        cost = _COST_CACHE.get(const)
+        if cost is None:
+            cost = _COST_CACHE[const] = _const_cost(complex(const))
+        self.mults += steps * width * cost
+        self.adds += steps * adds
+
     def add(self, x, y):
         if x.real != 0 and y.real != 0:
             self.adds += 1
@@ -169,7 +183,8 @@ class BinSpec:
     W is the evaluation point exp(-2j pi k / N); A = 2 cos(2 pi k / N) is
     the Goertzel feedback constant; L is the multiplicative order of W.
     lam is A -+ 2 from the half angle, set where |A| >= REINSCH_MIN_A at
-    an order outside TRIVIAL_A_ORDERS, and None elsewhere.
+    an order outside TRIVIAL_A_ORDERS, 0.0 at L in (1, 2), where A = +-2,
+    and None elsewhere.
     """
 
     N: int
@@ -188,6 +203,8 @@ class BinSpec:
         lam = None
         if L in TRIVIAL_A_ORDERS:
             A = float(round(A))
+            if L <= 2:  # A = +-2: the plain form runs on a double root
+                lam = 0.0
         elif abs(A) >= REINSCH_MIN_A:
             # -4 sin^2(pi k / N), or 4 cos^2(pi k / N) = 4 sin^2(pi (N - 2k) / 2N),
             # from an exact integer angle, so lam keeps full relative precision.
@@ -211,9 +228,7 @@ def _cyclo_reduce(v, spec: BinSpec, rec: OpRecorder) -> list:
     # perfbench/layers.py wraps reduce_by_intpoly by this module's name, so
     # it is called as a global here.
     L = spec.L
-    R = v[:L]
-    for start in range(L, len(v), L):
-        R = [rec.add(a, b) for a, b in zip(R, v[start:start + L])]
+    R = fold(v, L, rec)
     r = 1
     for p, _ in factorize(L):
         r *= p

@@ -6,19 +6,37 @@ polynomials keep a nonzero leading coefficient (use trim() after arithmetic
 that may cancel it). Integer coefficients are exact Python ints; signal
 polynomials hold complex (or real) numbers.
 
-The two remainder kernels stream coefficients from the highest degree down,
-exactly like the shift-register realizations of the block algorithms. Their
-arithmetic goes through a required `counter`, any object with `add(x, y)`
-and `mul(value, const)`, such as the metering OpRecorder.
+The three remainder kernels (fold, reduce_by_intpoly, reduce_by_pk) stream
+coefficients from the highest degree down, exactly like the shift-register
+realizations of the block algorithms. Each takes a required `counter`, any
+object with `add(x, y)` returning x + y and `mul(value, const)` returning
+value * const; the metering OpRecorder is one, and its add and mul are the
+definition of a count.
+
+Counting goes in bulk. A kernel does the arithmetic itself and tests each
+step. When no operand of the step has a zero component, what add and mul
+would charge for it is fixed by the constant and by whether the operands
+are real, so the kernel only tallies the step, and hands the tally to
+`counter.bulk(steps, adds, const, width)` once per call, if the counter has
+that method. A step with a zero operand goes through counter.add and
+counter.mul. Values are the same either way: a counter with only add and
+mul gets them, without the counts of the tallied steps.
 """
+
+from itertools import compress
+from operator import attrgetter
 
 __all__ = [
     "trim",
     "int_mul",
     "int_exact_div",
+    "fold",
     "reduce_by_intpoly",
     "reduce_by_pk",
 ]
+
+_real = attrgetter("real")
+_imag = attrgetter("imag")
 
 
 def trim(p: list) -> list:
@@ -76,6 +94,47 @@ def int_exact_div(num: list[int], den: list[int]) -> list[int]:
     return trim(q)
 
 
+def _is_real(values) -> bool:
+    # A NaN imaginary part is truthy, so it counts as complex.
+    return not any(map(_imag, values))
+
+
+def _charge(counter, steps: int, adds: int, const=0.0, width: int = 1) -> None:
+    # Hand a kernel's full steps to the counter's bulk charge, if it has one.
+    bulk = getattr(counter, "bulk", None)
+    if bulk is not None and steps:
+        bulk(steps, adds, const, width)
+
+
+def _no_zero(values, real: bool) -> bool:
+    # Every value, or on complex data every component, is nonzero; NaN is
+    # truthy, and add charges it as nonzero too.
+    return all(values) if real else all([z.real and z.imag for z in values])
+
+
+def fold(signal: list, L: int, counter) -> list:
+    """Remainder of a signal polynomial modulo x**L - 1: the sum of its
+    length-L blocks, added block by block in order (L must divide the
+    length). Costs at most len(signal) - L adds and no multiplications.
+
+    A block whose values and running sums have no zero component is added
+    in full and charged in bulk; any other block goes through counter.add.
+    """
+    R = signal[:L]
+    add = counter.add
+    real = _is_real(signal)
+    full = 0
+    for start in range(L, len(signal), L):
+        block = signal[start:start + L]
+        if _no_zero(R, real) and _no_zero(block, real):
+            R = [a + b for a, b in zip(R, block)]
+            full += len(block)
+        else:
+            R = [add(a, b) for a, b in zip(R, block)]
+    _charge(counter, full, 1 if real else 2)
+    return R
+
+
 def reduce_by_intpoly(signal: list, modulus: list[int], counter) -> list:
     """Remainder of a signal polynomial modulo a monic integer polynomial.
 
@@ -85,6 +144,12 @@ def reduce_by_intpoly(signal: list, modulus: list[int], counter) -> list:
     coefficients are all in {0, +-1} (every cyclotomic below order 105) the
     reduction performs no multiplications, only additions and subtractions.
 
+    The adds of the +-1 taps are charged in bulk. Where c is real, the add
+    of +-c costs 1 exactly when the slot's real part is nonzero; where c
+    has two nonzero components, a slot with two costs 2, and any other
+    slot goes through counter.add. The taps of magnitude >= 2 go through
+    counter.add and counter.mul.
+
     Returns deg(modulus) coefficients (possibly zero-padded).
     """
     modulus = trim(modulus)
@@ -93,24 +158,43 @@ def reduce_by_intpoly(signal: list, modulus: list[int], counter) -> list:
     if modulus[-1] != 1:
         raise ValueError("modulus must be monic")
     deg = len(modulus) - 1
-    taps = [(j, -modulus[j]) for j in range(deg) if modulus[j] != 0]
+    units = [(j, modulus[j] == -1) for j in compress(range(deg), modulus)
+             if modulus[j] in (1, -1)]
+    other = [(j, -modulus[j]) for j in compress(range(deg), modulus)
+             if modulus[j] not in (1, -1)]
     rem = list(signal)
     if len(rem) < deg:
         rem += [0j] * (deg - len(rem))
         return rem
+    add, mul = counter.add, counter.mul
+    adds = 0
     for i in range(len(rem) - 1, deg - 1, -1):
         c = rem[i]
         if c == 0:
             continue
         base = i - deg
-        for j, neg_mj in taps:
-            if neg_mj == 1:
-                term = c
-            elif neg_mj == -1:
-                term = -c
-            else:
-                term = counter.mul(c, neg_mj)
-            rem[base + j] = counter.add(rem[base + j], term)
+        nc = -c
+        if not c.imag:
+            for j, plus in units:
+                j += base
+                s = rem[j]
+                if s.real:
+                    adds += 1
+                rem[j] = s + (c if plus else nc)
+        else:
+            both = c.real
+            for j, plus in units:
+                j += base
+                s = rem[j]
+                if both and s.real and s.imag:
+                    adds += 2
+                    rem[j] = s + (c if plus else nc)
+                else:
+                    rem[j] = add(s, c if plus else nc)
+        for j, neg_mj in other:
+            j += base
+            rem[j] = add(rem[j], mul(c, neg_mj))
+    _charge(counter, adds, 1)
     return rem[:deg]
 
 
@@ -128,25 +212,65 @@ def reduce_by_pk(signal: list, A: float, counter,
     d <- v + lam*s +- d, s <- +-s + d. Rounding near |A| = 2 is no longer
     amplified by 1/|lam|. It multiplies by lam where the plain form
     multiplies by A, and adds one more add per step.
+
+    A step is full when no operand of its adds has a zero component and
+    its product is nonzero, or, for a constant of 0 (A = 0, or lam = 0 at
+    A = +-2), exactly zero. The data are real when no sample has a nonzero
+    imaginary part. On real data a full step costs (cost(A), 2) in the
+    plain form and (cost(lam), 3) in Reinsch's, one add fewer for a
+    constant of 0, and on complex data twice that. Full steps are charged
+    in bulk, the others through counter.add and counter.mul.
     """
     n = len(signal)
     if n == 0:
         return (0j, 0j)
     if n == 1:
         return (signal[0], 0j)
-    s1 = 0j
-    s2 = 0j
+    add, mul = counter.add, counter.mul
+    real = _is_real(signal)
+    const = A if lam is None else lam
+    zero = not const
+    full = 0
+    s1 = s2 = 0j
+    # On real data s0 == s0 (sn == sn) fails when a register has overflowed:
+    # complex * float then leaves a NaN imaginary part, which add and mul
+    # charge as nonzero, so such a step goes the per-op way.
     if lam is None:
-        for i in range(n - 1, 0, -1):
-            s0 = counter.add(counter.add(signal[i], counter.mul(s1, A)), -s2)
+        for x in reversed(signal[1:]):
+            m = s1 * A
+            t = x + m
+            s0 = t + -s2
+            if (x and t and s2 and (not m if zero else m) and s0 == s0 if real
+                    else x.real and x.imag and t.real and t.imag and s2.real and s2.imag
+                    and (not m if zero else s1.imag and m.real and m.imag)):
+                full += 1
+            else:
+                s0 = add(add(x, mul(s1, A)), -s2)
             s2 = s1
             s1 = s0
+        adds = 2 - zero
     else:
         sign = 1 if A > 0 else -1
         d = 0j
-        for i in range(n - 1, 0, -1):
-            d = counter.add(counter.add(signal[i], counter.mul(s1, lam)), sign * d)
+        for x in reversed(signal[1:]):
+            m = s1 * lam
+            t = x + m
+            sd = sign * d
+            dn = t + sd
+            ss = sign * s1
+            sn = ss + dn
+            if (x and t and sd and dn and ss and (not m if zero else m) and sn == sn if real
+                    else x.real and x.imag and t.real and t.imag and sd.real and sd.imag
+                    and dn.real and dn.imag and ss.real and ss.imag
+                    and (not m if zero else s1.imag and m.real and m.imag)):
+                full += 1
+                d = dn
+            else:
+                d = add(add(x, mul(s1, lam)), sign * d)
+                sn = add(sign * s1, d)
             s2 = s1
-            s1 = counter.add(sign * s1, d)
-    r0 = counter.add(signal[0], -s2)
+            s1 = sn
+        adds = 3 - zero
+    _charge(counter, full, adds if real else 2 * adds, const, 1 if real else 2)
+    r0 = add(signal[0], -s2)
     return (r0, s1)

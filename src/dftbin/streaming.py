@@ -83,13 +83,15 @@ class FilterState:
 
     w holds the fold's slots in a list: w[i] is the sum, in arrival order,
     of the samples v_n with n mod L = i. It grows by one slot per push over
-    the first L samples and then keeps its length L.
+    the first L samples and then keeps its length L. finalized is set by
+    finalize, after which the state takes no more pushes.
     """
 
     spec: FilterSpec
     w: list = field(default_factory=list)
     samples_consumed: int = 0
     rec: OpRecorder = field(default_factory=OpRecorder)
+    finalized: bool = False
 
 
 def design_filter(N: int, k: int) -> FilterSpec:
@@ -119,8 +121,8 @@ def push(state: FilterState, sample) -> FilterState:
     """Feed one sample (arrival order) into slot n mod L: an append for the
     first L samples, then one add each. No multiplications."""
     n, N, L = state.samples_consumed, state.spec.N, state.spec.L
-    if n >= N:  # finalize leaves n = N + 1
-        raise ValueError("filter already finalized" if n > N
+    if n >= N:
+        raise ValueError("filter already finalized" if state.finalized
                          else f"filter already consumed {N} samples; call finalize")
     w = state.w
     if n < L:
@@ -145,11 +147,12 @@ def finalize(state: FilterState, spec: FilterSpec) -> BinResult:
     if spec != state.spec:
         raise ValueError(f"spec is not the state's (N={state.spec.N}, k={state.spec.k})")
     spec = state.spec
+    if state.finalized:
+        raise ValueError("filter already finalized")
     n = state.samples_consumed
     if n != spec.N:
-        raise ValueError("filter already finalized" if n > spec.N
-                         else f"finalize needs exactly {spec.N} samples, got {n}")
-    state.samples_consumed = n + 1
+        raise ValueError(f"finalize needs exactly {spec.N} samples, got {n}")
+    state.finalized = True
     bin_spec, rec = BinSpec.for_bin(spec.N, spec.k), state.rec
     R = algorithms._cyclo_reduce(state.w, bin_spec, rec)
     return BinResult(algorithms._eval_remainder(R, bin_spec, rec), rec.counts(), "stream")

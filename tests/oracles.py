@@ -3,7 +3,8 @@
 These deliberately avoid the library's reduction kernels: plain long
 division, plain products, plain DFT sums. The exceptions are earlier, simpler
 forms of a library stage kept as references for the faster one that replaced
-them (dense_stream, single_cyclo_reduce).
+them (dense_stream, single_cyclo_reduce, and the per-op kernels, which
+charge every operation through the counter's add and mul).
 """
 
 import cmath
@@ -194,3 +195,62 @@ def primitive_order(N, k):
     import math
 
     return N // math.gcd(N, k % N)
+
+
+def per_op_fold(signal, L, counter):
+    """The fold modulo x**L - 1 with one counter.add per pair."""
+    R = signal[:L]
+    for start in range(L, len(signal), L):
+        R = [counter.add(a, b) for a, b in zip(R, signal[start:start + L])]
+    return R
+
+
+def per_op_reduce_by_intpoly(signal, modulus, counter):
+    """reduce_by_intpoly with every tap through counter.add and counter.mul."""
+    modulus = list(modulus)
+    while modulus and modulus[-1] == 0:
+        modulus.pop()
+    deg = len(modulus) - 1
+    taps = [(j, -modulus[j]) for j in range(deg) if modulus[j] != 0]
+    rem = list(signal)
+    if len(rem) < deg:
+        return rem + [0j] * (deg - len(rem))
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c == 0:
+            continue
+        base = i - deg
+        for j, neg_mj in taps:
+            if neg_mj == 1:
+                term = c
+            elif neg_mj == -1:
+                term = -c
+            else:
+                term = counter.mul(c, neg_mj)
+            rem[base + j] = counter.add(rem[base + j], term)
+    return rem[:deg]
+
+
+def per_op_reduce_by_pk(signal, A, counter, lam=None):
+    """reduce_by_pk with every step through counter.add and counter.mul."""
+    n = len(signal)
+    if n == 0:
+        return (0j, 0j)
+    if n == 1:
+        return (signal[0], 0j)
+    s1 = 0j
+    s2 = 0j
+    if lam is None:
+        for i in range(n - 1, 0, -1):
+            s0 = counter.add(counter.add(signal[i], counter.mul(s1, A)), -s2)
+            s2 = s1
+            s1 = s0
+    else:
+        sign = 1 if A > 0 else -1
+        d = 0j
+        for i in range(n - 1, 0, -1):
+            d = counter.add(counter.add(signal[i], counter.mul(s1, lam)), sign * d)
+            s2 = s1
+            s1 = counter.add(sign * s1, d)
+    r0 = counter.add(signal[0], -s2)
+    return (r0, s1)

@@ -363,6 +363,9 @@ def test_lam_set_exactly_near_two():
         for k in range(N):
             spec = BinSpec.for_bin(N, k)
             near_two = abs(spec.A) >= REINSCH_MIN_A and spec.L not in TRIVIAL_A_ORDERS
+            if spec.L <= 2:  # A = +-2 exactly, a double root
+                assert spec.lam == 0.0, (N, k)
+                continue
             assert (spec.lam is not None) == near_two, (N, k)
             if near_two:
                 assert abs(spec.lam - (spec.A - math.copysign(2.0, spec.A))) <= 1e-15

@@ -104,11 +104,14 @@ def test_finalized_stream_says_so():
     state = new_state(spec)
     for sample in (1, 2, 3, 4):
         push(state, sample)
+    assert not state.finalized
     finalize(state, spec)
+    assert state.finalized and state.samples_consumed == 4
     with pytest.raises(ValueError, match="already finalized"):
         finalize(state, spec)
     with pytest.raises(ValueError, match="already finalized"):
         push(state, 5)
+    assert state.samples_consumed == 4
 
 
 def test_finalize_requires_full_block():
