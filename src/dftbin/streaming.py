@@ -1,7 +1,7 @@
 """Sample-at-a-time realization of the cyclotomic single-bin reduction.
 
 The register is an online fold modulo x**L - 1: slot n mod L accumulates
-every sample v_n, so it holds L values, and a push is one add (an append
+every sample v_n, so it holds L values, and a push is one add (a store
 for the first L samples) with no multiplication, whatever the taps of
 Phi_L. This is the autoregressive filter 1/(1 - z**-L). Since x**L - 1 is
 the product of Phi_d over d | L, it is a multiple of the paper's feedback
@@ -81,17 +81,27 @@ class FilterSpec:
 class FilterState:
     """Mutable run state: exclusively owned by one execution context.
 
-    w holds the fold's slots in a list: w[i] is the sum, in arrival order,
-    of the samples v_n with n mod L = i. It grows by one slot per push over
-    the first L samples and then keeps its length L. finalized is set by
-    finalize, after which the state takes no more pushes.
+    slots holds the fold's L slots, made with the state so that no push
+    grows a list: slots[i] is the sum, in arrival order, of the samples v_n
+    with n mod L = i, and None before the first of them. (A growing list
+    reallocates at a few sizes, and those pushes took as long as glibc's
+    realloc did.) w is a copy of the filled part: one slot per push over
+    the first L samples, then all L. finalized is set by finalize, after
+    which the state takes no more pushes.
     """
 
     spec: FilterSpec
-    w: list = field(default_factory=list)
     samples_consumed: int = 0
     rec: OpRecorder = field(default_factory=OpRecorder)
     finalized: bool = False
+    slots: list = field(init=False)
+
+    def __post_init__(self):
+        self.slots = [None] * self.spec.L
+
+    @property
+    def w(self) -> list:
+        return self.slots[:self.samples_consumed]
 
 
 def design_filter(N: int, k: int) -> FilterSpec:
@@ -118,15 +128,15 @@ def new_state(spec: FilterSpec) -> FilterState:
 
 
 def push(state: FilterState, sample) -> FilterState:
-    """Feed one sample (arrival order) into slot n mod L: an append for the
+    """Feed one sample (arrival order) into slot n mod L: a store for the
     first L samples, then one add each. No multiplications."""
     n, N, L = state.samples_consumed, state.spec.N, state.spec.L
     if n >= N:
         raise ValueError("filter already finalized" if state.finalized
                          else f"filter already consumed {N} samples; call finalize")
-    w = state.w
+    w = state.slots
     if n < L:
-        w.append(sample)
+        w[n] = sample
     else:
         i = n % L
         w[i] = state.rec.add(w[i], sample)
@@ -154,7 +164,7 @@ def finalize(state: FilterState, spec: FilterSpec) -> BinResult:
         raise ValueError(f"finalize needs exactly {spec.N} samples, got {n}")
     state.finalized = True
     bin_spec, rec = BinSpec.for_bin(spec.N, spec.k), state.rec
-    R = algorithms._cyclo_reduce(state.w, bin_spec, rec)
+    R = algorithms._cyclo_reduce(state.slots, bin_spec, rec)
     return BinResult(algorithms._eval_remainder(R, bin_spec, rec), rec.counts(), "stream")
 
 

@@ -90,6 +90,21 @@ def test_push_examples():
     assert list(state.w) == [2, 1]
 
 
+def test_slots_made_with_the_state():
+    # push stores into the L slots new_state made; no push grows a list.
+    spec = design_filter(1024, 128)   # L = 8
+    state = new_state(spec)
+    slots = state.slots
+    assert slots == [None] * 8
+    for sample in range(1, 13):
+        push(state, float(sample))
+        assert state.slots is slots and len(slots) == 8
+        if sample == 3:
+            assert state.w == [1.0, 2.0, 3.0]
+    assert state.w == slots == [10.0, 12.0, 14.0, 16.0, 5.0, 6.0, 7.0, 8.0]
+    assert state.w is not slots
+
+
 def test_push_limit_enforced():
     spec = design_filter(4, 1)
     state = new_state(spec)
