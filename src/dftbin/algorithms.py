@@ -7,8 +7,9 @@ real-operation counts. Values agree with the naive oracle to floating-point
 accuracy. BinSpec.for_bin(N, k) is the one derivation of a bin, for every
 tag, streaming.design_filter and complexity.nominal_costs: it rejects a
 non-integral N, N < 1 and a non-integral k, reduces k modulo N, and derives
-L, W and A; A is an integer (0, +-1, +-2) exactly when L is in
-TRIVIAL_A_ORDERS.
+L and A; A is an integer (0, +-1, +-2) exactly when L is in
+TRIVIAL_A_ORDERS. The records (OpCounts, BinResult, BinSpec) are named
+tuples.
 
 Every tag has the same structure: divide the signal polynomial by a
 modulus that vanishes at the bin's root of unity, then evaluate the short
@@ -73,7 +74,7 @@ and N/2, A rounds to +-2.0 and is free, but the run multiplies by lam.
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cyclotomic import cyclotomic
 # totient is unused here, but perfbench/layers.py wraps it by this name.
@@ -101,12 +102,8 @@ TRIVIAL_A_ORDERS = frozenset((1, 2, 3, 4, 6))
 REINSCH_MIN_A = 1.875
 
 
-@dataclass
-class OpCounts:
-    """Tally of nontrivial real multiplications and real additions."""
-
-    real_mults: int = 0
-    real_adds: int = 0
+OpCounts = namedtuple("OpCounts", "real_mults real_adds", defaults=(0, 0))
+OpCounts.__doc__ = "Tally of nontrivial real multiplications and real additions."
 
 
 def _const_cost(c) -> int:
@@ -176,29 +173,22 @@ def root_power(N: int, k: int) -> complex:
     return cmath.exp(complex(0.0, -2.0 * math.pi * r / N))
 
 
-@dataclass(frozen=True)
-class BinSpec:
+class BinSpec(namedtuple("BinSpec", "N k L A lam", defaults=(None,))):
     """One DFT bin and its derived constants.
 
-    W is the evaluation point exp(-2j pi k / N); A = 2 cos(2 pi k / N) is
-    the Goertzel feedback constant; L is the multiplicative order of W.
+    A = 2 cos(2 pi k / N) is the Goertzel feedback constant; L is the
+    multiplicative order of the evaluation point W = root_power(N, k).
     lam is A -+ 2 from the half angle, set where |A| >= REINSCH_MIN_A at
     an order outside TRIVIAL_A_ORDERS, 0.0 at L in (1, 2), where A = +-2,
     and None elsewhere.
     """
 
-    N: int
-    k: int
-    L: int
-    W: complex
-    A: float
-    lam: float | None = None
+    __slots__ = ()
 
     @classmethod
     def for_bin(cls, N: int, k: int) -> "BinSpec":
         k = bin_index(N, k)
         L = bin_order(N, k)
-        W = root_power(N, k)
         A = 2.0 * math.cos(2.0 * math.pi * k / N)
         lam = None
         if L in TRIVIAL_A_ORDERS:
@@ -211,14 +201,10 @@ class BinSpec:
             half = math.sin(math.pi * min(k, N - k) / N if A > 0
                             else math.pi * (N - 2 * k) / (2 * N))
             lam = math.copysign(4.0 * half * half, -A)
-        return cls(N, k, L, W, A, lam)
+        return cls(N, k, L, A, lam)
 
 
-@dataclass
-class BinResult:
-    value: complex
-    counts: OpCounts
-    algorithm: str
+BinResult = namedtuple("BinResult", "value counts algorithm")
 
 
 def _cyclo_reduce(v, spec: BinSpec, rec: OpRecorder) -> list:
@@ -243,12 +229,13 @@ def _cyclo_reduce(v, spec: BinSpec, rec: OpRecorder) -> list:
 def _eval_remainder(R, spec: BinSpec, rec: OpRecorder) -> complex:
     # Each nonzero real tap past the constant costs at most 2 real
     # multiplications, matching the classic per-tap accounting.
+    N, k = spec.N, spec.k
     acc = complex(R[0])
     for m in range(1, len(R)):
         c = R[m]
         if c == 0:
             continue
-        acc = rec.add(acc, rec.mul(c, root_power(spec.N, spec.k * m)))
+        acc = rec.add(acc, rec.mul(c, root_power(N, k * m)))
     return acc
 
 

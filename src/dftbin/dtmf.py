@@ -10,7 +10,7 @@ checks).
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .complexity import measure
 
@@ -30,18 +30,19 @@ DIGITS = (
 _DIGIT_POS = {DIGITS[r][c]: (r, c) for r in range(4) for c in range(4)}
 
 
-@dataclass(frozen=True)
-class DtmfConfig:
-    sample_rate: float = 8000.0
-    block_size: int = 205
-    row_freqs: tuple[float, ...] = ROW_FREQS
-    col_freqs: tuple[float, ...] = COL_FREQS
-    dominance_ratio: float = 4.0
+class DtmfConfig(namedtuple("DtmfConfig",
+                            "sample_rate block_size row_freqs col_freqs dominance_ratio",
+                            defaults=(8000.0, 205, ROW_FREQS, COL_FREQS, 4.0))):
+    """Block layout and thresholds; construction rejects colliding tone bins."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         bins = self.row_bins() + self.col_bins()
         if len(set(bins)) != len(bins):
             raise ValueError(f"tone bins collide for N={self.block_size}: {bins}")
+        return self
 
     def _bin(self, freq: float) -> int:
         return round(freq * self.block_size / self.sample_rate)

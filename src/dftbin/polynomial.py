@@ -35,7 +35,6 @@ __all__ = [
     "reduce_by_pk",
 ]
 
-_real = attrgetter("real")
 _imag = attrgetter("imag")
 
 

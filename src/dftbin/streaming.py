@@ -21,7 +21,7 @@ starts from a designed FilterSpec. The bin's k and L come from
 algorithms.BinSpec.for_bin, which validates (N, k).
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import algorithms
 from .algorithms import BinResult, BinSpec, OpRecorder, root_power
@@ -52,32 +52,21 @@ def _snap(z: complex) -> complex:
     return complex(re, im)
 
 
-@dataclass(frozen=True)
-class FilterSpec:
-    """Designed taps for one (N, k) bin: immutable and shareable.
+class FilterSpec(namedtuple("FilterSpec", "N k L a b")):
+    """Designed taps for one (N, k) bin: an immutable, shareable named tuple.
 
     a: complex numerator taps, a[0] = 1, length totient(L).
     b: integer feedback taps from the cyclotomic polynomial, b[0] = 1,
        length totient(L) + 1.
     """
 
-    N: int
-    k: int
-    L: int
-    a: tuple[complex, ...]
-    b: tuple[int, ...]
+    __slots__ = ()
 
     def as_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "k": self.k,
-            "L": self.L,
-            "a": [[c.real, c.imag] for c in self.a],
-            "b": list(self.b),
-        }
+        return {**self._asdict(), "a": [[c.real, c.imag] for c in self.a],
+                "b": list(self.b)}
 
 
-@dataclass
 class FilterState:
     """Mutable run state: exclusively owned by one execution context.
 
@@ -87,17 +76,19 @@ class FilterState:
     reallocates at a few sizes, and those pushes took as long as glibc's
     realloc did.) w is a copy of the filled part: one slot per push over
     the first L samples, then all L. finalized is set by finalize, after
-    which the state takes no more pushes.
+    which the state takes no more pushes. N and L are copied from spec,
+    because push reads them per sample and a slot reads faster than a
+    named tuple's field.
     """
 
-    spec: FilterSpec
-    samples_consumed: int = 0
-    rec: OpRecorder = field(default_factory=OpRecorder)
-    finalized: bool = False
-    slots: list = field(init=False)
+    __slots__ = ("spec", "N", "L", "slots", "samples_consumed", "rec", "finalized")
 
-    def __post_init__(self):
-        self.slots = [None] * self.spec.L
+    def __init__(self, spec: FilterSpec):
+        self.spec, self.N, self.L = spec, spec.N, spec.L
+        self.slots = [None] * spec.L
+        self.samples_consumed = 0
+        self.rec = OpRecorder()
+        self.finalized = False
 
     @property
     def w(self) -> list:
@@ -130,7 +121,7 @@ def new_state(spec: FilterSpec) -> FilterState:
 def push(state: FilterState, sample) -> FilterState:
     """Feed one sample (arrival order) into slot n mod L: a store for the
     first L samples, then one add each. No multiplications."""
-    n, N, L = state.samples_consumed, state.spec.N, state.spec.L
+    n, N, L = state.samples_consumed, state.N, state.L
     if n >= N:
         raise ValueError("filter already finalized" if state.finalized
                          else f"filter already consumed {N} samples; call finalize")

@@ -56,9 +56,9 @@ def test_bin_spec_invariants():
     for N, k in ((12, 5), (83, 2), (1024, 128), (7, 0), (16, 19), (16, -3)):
         spec = BinSpec.for_bin(N, k)
         assert 0 <= spec.k < N
-        assert abs(abs(spec.W) - 1.0) <= 1e-12
+        assert abs(abs(root_power(N, k)) - 1.0) <= 1e-12
         assert spec.L == bin_order(N, k)
-        assert abs(spec.A - 2 * spec.W.real) <= 1e-12
+        assert abs(spec.A - 2 * root_power(N, k).real) <= 1e-12
 
 
 def test_bin_spec_A_integral_exactly_at_trivial_orders():
@@ -121,6 +121,14 @@ def test_goertzel_trivial_bin_counts():
 
 def test_jco_value_example():
     assert abs(jco_bin([1, 2, 3, 4], 1).value - (-2 + 2j)) <= 1e-15
+
+
+def test_readme_library_example():
+    # README's Library section, verbatim; it pins the records' repr.
+    res = jco_bin([1, 2, 3, 4], 1)
+    assert res.value == -2 + 2j
+    assert repr(res.counts) == "OpCounts(real_mults=0, real_adds=2)"
+    assert nominal_costs(120, 1) == (120, 62, 32)
 
 
 def test_jco_measured_mults():
@@ -347,14 +355,14 @@ def test_w_and_lam_charged_on_order():
     # (about -5.6e-13) within 1e-12 of 0; the exact rule charges both.
     spec = BinSpec.for_bin(1 << 23, 1)
     assert abs(spec.lam) < 1e-12
-    for const, cost in ((spec.W, 2), (spec.lam, 1), (spec.A, 1)):
+    for const, cost in ((root_power(1 << 23, 1), 2), (spec.lam, 1), (spec.A, 1)):
         rec = OpRecorder()
         rec.mul(1.0, const)
         assert rec.mults == cost, const
     for (N, k), cost in (((8, 1), 1), ((8, 3), 1), ((1, 0), 0), ((2, 1), 0), ((4, 1), 0),
                          ((4, 3), 0), ((3, 1), 2), ((12, 1), 2)):
         rec = OpRecorder()
-        rec.mul(1.0, BinSpec.for_bin(N, k).W)
+        rec.mul(1.0, root_power(N, k))
         assert rec.mults == cost, (N, k)
 
 
@@ -407,7 +415,7 @@ def test_goertzel_plain_below_reinsch_threshold():
         for v in (_rand_real(rng, N), _rand_complex(rng, N)):
             rec = OpRecorder()
             r0, r1 = reduce_by_pk(v, spec.A, rec)
-            value = rec.add(r0, rec.mul(r1, spec.W))
+            value = rec.add(r0, rec.mul(r1, root_power(N, k)))
             res = goertzel_bin(v, k)
             assert repr(res.value) == repr(value), (N, k)
             assert res.counts == rec.counts(), (N, k)

@@ -1,8 +1,11 @@
 """The package's import graph: the modules form a DAG and every import sits
-at module top level, so no module has to defer an import to break a cycle."""
+at module top level, so no module has to defer an import to break a cycle.
+Importing the CLI loads neither dataclasses nor inspect."""
 
 import ast
 import graphlib
+import subprocess
+import sys
 from pathlib import Path
 
 import dftbin
@@ -40,3 +43,13 @@ def test_no_import_inside_a_function():
                 nested += [f"{name}.{fn.name} line {node.lineno}" for node in ast.walk(fn)
                            if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert nested == []
+
+
+def test_cli_import_loads_no_dataclasses():
+    # dataclasses brings in inspect, ast, dis and tokenize, which every fresh
+    # CLI process would pay for at start-up.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dftbin.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["[]"]
