@@ -60,21 +60,27 @@ a still-zero register are free. A subtraction is an add of the negated
 operand and counts the same. This is the declared convention for every
 "measured adds" figure produced by this package.
 
-There is no tolerance: _const_cost charges what the float run does, and
-_COST_CACHE only memoises it. root_power returns every multiple of an eighth
-turn exactly and A is an integer on TRIVIAL_A_ORDERS, so below N of about
-5.96e8 the bin's constants are charged on L: A and lam cost 1, and W costs 2,
-1 at L = 8 and nothing at L in (1, 2, 4). The evaluation stage's powers W**m
-are charged in full too, though next to k = 0 their real parts lie within
-1e-12 of 1 from N of about 4.4e6 on. From N of about 5.96e8 on, next to
-k = 0, N/4, N/2 and 3N/4, one component of W rounds to exactly +-1.0, so the
-float run does one multiplication fewer and W is charged 1; next to k = 0
-and N/2, A rounds to +-2.0 and is free, but the run multiplies by lam.
+There is no tolerance: _const_cost charges what the float run does.
+_COST_CACHE memoises it for the kernels' constants (A, lam, integer taps).
+The evaluation stage reads W**m from _ROOT_TABLES instead: one table per N,
+whose slot r = k*m mod N holds root_power(N, r) and its _const_cost, filled
+the first time a bin of N visits r. A table holds at most N slots, shared
+by every bin of N, so a sweep of every bin of N keeps N roots, not N**2.
+root_power returns every multiple of an eighth turn exactly and A is an
+integer on TRIVIAL_A_ORDERS, so below N of about 5.96e8 the bin's constants
+are charged on L: A and lam cost 1, and W costs 2, 1 at L = 8 and nothing at
+L in (1, 2, 4). The powers W**m are charged in full too, though next to
+k = 0 their real parts lie within 1e-12 of 1 from N of about 4.4e6 on.
+From N of about 5.96e8 on, next to k = 0, N/4, N/2 and 3N/4, one component
+of W rounds to exactly +-1.0, so the float run does one multiplication
+fewer and W is charged 1; next to k = 0 and N/2, A rounds to +-2.0 and is
+free, but the run multiplies by lam.
 """
 
 import cmath
 import math
 from collections import namedtuple
+from itertools import islice
 
 from .cyclotomic import cyclotomic
 # totient is unused here, but perfbench/layers.py wraps it by this name.
@@ -112,6 +118,10 @@ def _const_cost(c) -> int:
 
 
 _COST_CACHE: dict[complex, int] = {}
+# N -> (roots, costs): W**r = root_power(N, r) and its _const_cost at slot
+# r, filled as _eval_remainder first visits r. At most N slots per N, and
+# every bin of N shares them.
+_ROOT_TABLES: dict[int, tuple[list, list]] = {}
 
 
 class OpRecorder:
@@ -227,15 +237,40 @@ def _cyclo_reduce(v, spec: BinSpec, rec: OpRecorder) -> list:
 
 
 def _eval_remainder(R, spec: BinSpec, rec: OpRecorder) -> complex:
-    # Each nonzero real tap past the constant costs at most 2 real
-    # multiplications, matching the classic per-tap accounting.
+    # Sum of R[m] * W**m, W**m = root_power(N, k*m mod N) from N's root
+    # table. Each nonzero real tap past the constant costs at most 2 real
+    # multiplications, matching the classic per-tap accounting. The counts
+    # are mul's and add's, tallied inline and charged once: a product costs
+    # the root's cost for real c and twice that for complex c; an add whose
+    # operands have no zero component costs 2, any other goes through rec.add.
     N, k = spec.N, spec.k
+    table = _ROOT_TABLES.get(N)
+    if table is None:
+        table = _ROOT_TABLES[N] = ([None] * N, [0] * N)
+    roots, costs = table
     acc = complex(R[0])
-    for m in range(1, len(R)):
-        c = R[m]
+    mults = adds = r = 0
+    for c in islice(R, 1, None):
+        r += k
+        if r >= N:
+            r -= N
         if c == 0:
             continue
-        acc = rec.add(acc, rec.mul(c, root_power(N, k * m)))
+        w = roots[r]
+        if w is None:
+            w = roots[r] = root_power(N, r)
+            costs[r] = _const_cost(w)
+        cost = costs[r]
+        if cost:
+            mults += 2 * cost if c.imag else cost
+        p = c * w
+        if acc.real and acc.imag and p.real and p.imag:
+            adds += 2
+            acc += p
+        else:
+            acc = rec.add(acc, p)
+    rec.mults += mults
+    rec.adds += adds
     return acc
 
 

@@ -3,12 +3,13 @@
 These deliberately avoid the library's reduction kernels: plain long
 division, plain products, plain DFT sums. The exceptions are earlier, simpler
 forms of a library stage kept as references for the faster one that replaced
-them (dense_stream, single_cyclo_reduce, and the per-op kernels, which
-charge every operation through the counter's add and mul).
+them (dense_stream, single_cyclo_reduce, and the per-op kernels and evaluation
+stage, which charge every operation through the counter's add and mul).
 """
 
 import cmath
 
+from dftbin.algorithms import root_power
 from dftbin.complexity import OpRecorder
 from dftbin.cyclotomic import cyclotomic
 from dftbin.polynomial import reduce_by_intpoly
@@ -254,3 +255,16 @@ def per_op_reduce_by_pk(signal, A, counter, lam=None):
             s1 = counter.add(sign * s1, d)
     r0 = counter.add(signal[0], -s2)
     return (r0, s1)
+
+
+def per_op_eval(R, spec, counter):
+    """The evaluation stage with one root_power, counter.mul and counter.add
+    per nonzero tap past the constant."""
+    N, k = spec.N, spec.k
+    acc = complex(R[0])
+    for m in range(1, len(R)):
+        c = R[m]
+        if c == 0:
+            continue
+        acc = counter.add(acc, counter.mul(c, root_power(N, k * m)))
+    return acc

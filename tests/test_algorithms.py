@@ -6,6 +6,7 @@ import pytest
 
 from fractions import Fraction
 
+from dftbin import algorithms
 from dftbin.algorithms import (REINSCH_MIN_A, TRIVIAL_A_ORDERS, BinSpec,
                                OpRecorder, _cyclo_reduce, _eval_remainder,
                                goertzel_bin, jco_bin, jco_goertzel_bin, naive_bin, root_power)
@@ -50,6 +51,26 @@ def test_const_cost_independent_of_process_history():
         rec.mul(1.0, c)
         assert rec.mults == 1
         nominal_costs(N, 1)
+
+
+def test_root_table_bounds_the_evaluation_memory():
+    # The constants memo gains no twiddle (a complex root), only kernel
+    # constants such as the chain's taps.
+    rng = random.Random(27)
+    for N in (4096, 4097):
+        before = set(algorithms._COST_CACHE)
+        jco_bin(_rand_real(rng, N), 1)
+        assert not any(isinstance(c, complex) for c in set(algorithms._COST_CACHE) - before), N
+    # Every bin of one N shares one table of at most N slots; naive
+    # summation at k = 1 visits all of them.
+    before = set(algorithms._ROOT_TABLES)
+    v = _rand_real(rng, 1155)
+    for k in range(1155):
+        naive_bin(v, k)
+    assert set(algorithms._ROOT_TABLES) - before <= {1155}
+    roots, costs = algorithms._ROOT_TABLES[1155]
+    assert len(roots) == len(costs) == 1155
+    assert roots == [root_power(1155, r) for r in range(1155)]
 
 
 def test_bin_spec_invariants():

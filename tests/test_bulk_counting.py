@@ -1,7 +1,7 @@
-"""The kernels charge full steps in bulk; the per-op kernels in oracles.py
-charge every operation through OpRecorder.add and OpRecorder.mul, which
-define a count. Both must give the same counts and repr-equal values, on
-every kind of input: float, complex, small integers (real and complex, with
+"""The kernels and the evaluation stage charge full steps in bulk; the
+per-op kernels and per_op_eval in oracles.py charge every operation through
+OpRecorder.add and OpRecorder.mul, which define a count. Both must give the
+same counts and repr-equal values, on every kind of input: float, complex, small integers (real and complex, with
 cancellations), exact and signed zeros, and 1e308 samples whose registers
 overflow to inf and NaN.
 
@@ -13,11 +13,13 @@ Runs under pytest, or as a plain script on an interpreter without pytest:
 import math
 import random
 
+from dftbin import algorithms
 from dftbin.algorithms import BinSpec, OpRecorder, _cyclo_reduce
+from dftbin.complexity import ALGORITHMS, measure
 from dftbin.cyclotomic import cyclotomic
 from dftbin.numtheory import factorize
 from dftbin.polynomial import fold, reduce_by_intpoly, reduce_by_pk
-from oracles import per_op_fold, per_op_reduce_by_intpoly, per_op_reduce_by_pk
+from oracles import per_op_eval, per_op_fold, per_op_reduce_by_intpoly, per_op_reduce_by_pk
 
 SMALL_N = range(1, 61)
 LARGE_N = (205, 385, 1155, 4096)
@@ -120,6 +122,42 @@ def check_cyclo(N) -> int:
     return cases
 
 
+def check_eval(N) -> int:
+    """The evaluation stage on every remainder that a tag (streaming.finalize
+    too) hands it, at every bin of bins(N), on every input kind, against
+    per_op_eval: repr of the value and both counts."""
+    data = signals(N)
+    fast, remainders = algorithms._eval_remainder, []
+
+    def keep(R, spec, rec):
+        remainders.append((list(R), spec))
+        return fast(R, spec, rec)
+
+    algorithms._eval_remainder = keep
+    try:
+        for tag in ALGORITHMS:
+            for k in bins(N):
+                for v in data.values():
+                    measure(tag, v, k)
+    finally:
+        algorithms._eval_remainder = fast
+    for R, spec in remainders:
+        got_rec, want_rec = OpRecorder(), OpRecorder()
+        _same(("eval", spec, R), fast(R, spec, got_rec), per_op_eval(R, spec, want_rec),
+              got_rec, want_rec)
+    return len(remainders)
+
+
+def test_eval_stage_bulk_equals_per_op_small_n():
+    for N in SMALL_N:
+        check_eval(N)
+
+
+def test_eval_stage_bulk_equals_per_op_large_n():
+    for N in LARGE_N:
+        check_eval(N)
+
+
 def test_reduce_by_pk_bulk_equals_per_op_small_n():
     for N in SMALL_N:
         check_pk(N)
@@ -191,7 +229,7 @@ def test_bulk_charges_what_add_and_mul_charge():
 
 def sweep():
     """Run every check; return the number of kernel cases compared."""
-    cases = sum(check_pk(N) + check_cyclo(N) for N in (*SMALL_N, *LARGE_N))
+    cases = sum(check_pk(N) + check_cyclo(N) + check_eval(N) for N in (*SMALL_N, *LARGE_N))
     test_infinite_register_with_a_zero_imaginary_part()
     test_counter_without_bulk_gets_the_same_values()
     test_bulk_charges_what_add_and_mul_charge()
