@@ -118,9 +118,7 @@ def _const_cost(c) -> int:
 
 
 _COST_CACHE: dict[complex, int] = {}
-# N -> (roots, costs): W**r = root_power(N, r) and its _const_cost at slot
-# r, filled as _eval_remainder first visits r. At most N slots per N, and
-# every bin of N shares them.
+# N -> (roots, costs) of _eval_remainder, see "Cost policy" above.
 _ROOT_TABLES: dict[int, tuple[list, list]] = {}
 
 

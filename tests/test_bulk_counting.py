@@ -1,9 +1,9 @@
 """The kernels and the evaluation stage charge full steps in bulk; the
 per-op kernels and per_op_eval in oracles.py charge every operation through
 OpRecorder.add and OpRecorder.mul, which define a count. Both must give the
-same counts and repr-equal values, on every kind of input: float, complex, small integers (real and complex, with
-cancellations), exact and signed zeros, and 1e308 samples whose registers
-overflow to inf and NaN.
+same counts and repr-equal values, on every kind of input: float, complex,
+small integers (real and complex, with cancellations), exact and signed
+zeros, and 1e308 samples whose registers overflow to inf and NaN.
 
 Runs under pytest, or as a plain script on an interpreter without pytest:
 
@@ -143,7 +143,7 @@ def check_eval(N) -> int:
         algorithms._eval_remainder = fast
     for R, spec in remainders:
         got_rec, want_rec = OpRecorder(), OpRecorder()
-        _same(("eval", spec, R), fast(R, spec, got_rec), per_op_eval(R, spec, want_rec),
+        _same(("eval", spec, len(R)), fast(R, spec, got_rec), per_op_eval(R, spec, want_rec),
               got_rec, want_rec)
     return len(remainders)
 
