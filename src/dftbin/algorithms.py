@@ -16,21 +16,31 @@ modulus that vanishes at the bin's root of unity, then evaluate the short
 remainder there. The evaluation is one stage, shared by every tag (and by
 streaming.finalize); naive summation is that stage on the unreduced signal.
 Goertzel reduces by the fixed degree-2 real minimal polynomial
-1 - A*x + x**2; "jco" by the cyclotomic polynomial of the bin's order L
-(integer taps, multiplication-free below order 385); "jco_goertzel" chains
-both reductions, cheapest of the three for L < 385. Each run meters itself
-with its own OpRecorder, under the policy below.
+1 - A*x + x**2; "jco" by a multiple of the cyclotomic polynomial of the
+bin's order L whose integer taps all lie in {0, +-1, +-2}, so that
+reduction is multiplication-free; "jco_goertzel" chains both reductions.
+Each run meters itself with its own OpRecorder, under the policy below.
 
 "jco" and "jco_goertzel" share one cyclotomic stage. It first folds the
 signal modulo x**L - 1: L divides N and Phi_L divides x**L - 1, so adding
 the N/L length-L blocks together leaves the remainder modulo Phi_L
 unchanged. The fold costs N - L adds and no multiplications. The L-term
-sum is then reduced once per distinct prime of L, p_1 < ... < p_s: with
-r_i = p_1...p_i, stage i reduces by Phi_{r_i}(x**(L/r_i)), which divides
-the previous stage's modulus, and the last is Phi_L = Phi_{rad L}(x**(L/rad L)).
-Stage i takes (L/r_i) * phi(r_{i-1}) steps of nnz(Phi_{r_i}) - 1 adds each,
-so the cyclotomic stage costs N - L adds plus the sum of those; a
-prime-power L is a single reduction.
+sum is then reduced by a chain with one stage per distinct prime of L,
+p_1 < ... < p_s: with r_i = p_1...p_i, stage i reduces by
+Phi_{r_i}(x**(L/r_i)), which divides the previous stage's modulus, and the
+last would be Phi_L = Phi_{rad L}(x**(L/rad L)). The chain stops before
+the first stage whose Phi_{r_i} has a tap outside {0, +-1, +-2}, since
+such a tap costs a multiplication per step. Every modulus the chain
+reaches is a multiple of Phi_L, so its remainder has the same value at W.
+Stages 1 and 2 always run (Phi_p is all ones, Phi_pq is flat by Lam and
+Leung 1996, and Phi_2m(x) = Phi_m(-x)), and so does stage 3 when 3 divides
+L (Bang 1895 bounds the taps of Phi_pqr by p - 1). stage_plan(L) memoises
+the moduli of the stages that run and D, the length of the remainder they
+leave: (L/r) * phi(r) for the last r that runs, phi(L) where every stage
+runs, as for every L < 385 and every L with at most two distinct odd
+primes. Stage i takes (L/r_i) * phi(r_{i-1}) steps of nnz(Phi_{r_i}) - 1
+adds each, so the cyclotomic stage costs N - L adds plus the sum of those
+over the stages that run; a prime-power L is a single reduction.
 
 Goertzel's degree-2 stage runs the plain recursion by A, except where
 |A| >= REINSCH_MIN_A = 1.875 at an order outside TRIVIAL_A_ORDERS: there it
@@ -78,13 +88,13 @@ free, but the run multiplies by lam.
 """
 
 import cmath
+import functools
 import math
 from collections import namedtuple
 from itertools import islice
 
 from .cyclotomic import cyclotomic
-# totient is unused here, but perfbench/layers.py wraps it by this name.
-from .numtheory import bin_index, bin_order, factorize, totient  # noqa: F401
+from .numtheory import bin_index, bin_order, factorize, totient
 from .polynomial import fold, reduce_by_intpoly, reduce_by_pk
 
 __all__ = [
@@ -95,6 +105,9 @@ __all__ = [
     "REINSCH_MIN_A",
     "BinSpec",
     "BinResult",
+    "StagePlan",
+    "remainder_length",
+    "stage_plan",
     "root_power",
     "naive_bin",
     "goertzel_bin",
@@ -215,21 +228,55 @@ class BinSpec(namedtuple("BinSpec", "N k L A lam", defaults=(None,))):
 BinResult = namedtuple("BinResult", "value counts algorithm")
 
 
-def _cyclo_reduce(v, spec: BinSpec, rec: OpRecorder) -> list:
-    # Fold modulo x**L - 1 (len(v) - L adds; none for streaming's L slots),
-    # then reduce by Phi_{r_i}(x**(L/r_i)) for r_i = p_1...p_i over the
-    # distinct primes of L, ascending; the last modulus is Phi_L.
-    # perfbench/layers.py wraps reduce_by_intpoly by this module's name, so
-    # it is called as a global here.
-    L = spec.L
-    R = fold(v, L, rec)
-    r = 1
+@functools.lru_cache(maxsize=None)
+def _chain_orders(L: int) -> tuple[int, ...]:
+    """The orders r_i = p_1...p_i of the chain stages that run at order L,
+    p_1 < p_2 < ... the distinct primes of L: every r_i up to, not
+    including, the first whose Phi_{r_i} has a tap outside {0, +-1, +-2}."""
+    orders, r = [], 1
     for p, _ in factorize(L):
+        if any(abs(c) > 2 for c in cyclotomic(r * p)):
+            break
         r *= p
+        orders.append(r)
+    return tuple(orders)
+
+
+def remainder_length(L: int) -> int:
+    """D, the length of the remainder the chain leaves at order L:
+    (L/r_s) * phi(r_s) for the last stage r_s that runs, phi(L) when
+    every stage runs."""
+    orders = _chain_orders(L)
+    r = orders[-1] if orders else 1
+    return L // r * totient(r)
+
+
+StagePlan = namedtuple("StagePlan", "D moduli")
+StagePlan.__doc__ = """The chain stages that run at one order L: moduli
+holds, per stage, the dense dilated modulus Phi_{r_i}(x**(L/r_i)) as a list
+that no kernel mutates, and D is remainder_length(L)."""
+
+
+@functools.lru_cache(maxsize=64)
+def stage_plan(L: int) -> StagePlan:
+    """The memoised StagePlan of order L (the 64 orders used last)."""
+    moduli = []
+    for r in _chain_orders(L):
         stride = L // r
         phi_r = cyclotomic(r)
         modulus = [0] * (stride * (len(phi_r) - 1) + 1)
         modulus[::stride] = phi_r
+        moduli.append(modulus)
+    return StagePlan(remainder_length(L), tuple(moduli))
+
+
+def _cyclo_reduce(v, spec: BinSpec, rec: OpRecorder) -> list:
+    # Fold modulo x**L - 1 (len(v) - L adds; none for streaming's L slots),
+    # then reduce by each planned modulus. perfbench/layers.py wraps
+    # reduce_by_intpoly and cyclotomic by this module's names, so they are
+    # called as globals here.
+    R = fold(v, spec.L, rec)
+    for modulus in stage_plan(spec.L).moduli:
         R = reduce_by_intpoly(R, modulus, rec)
     return R
 
@@ -286,7 +333,7 @@ def goertzel_bin(v, k: int) -> BinResult:
 
 
 def jco_bin(v, k: int) -> BinResult:
-    """Cyclotomic reduction to totient(L) taps, evaluated at W."""
+    """Cyclotomic reduction to D = remainder_length(L) taps, evaluated at W."""
     spec, rec = BinSpec.for_bin(len(v), k), OpRecorder()
     R = _cyclo_reduce(v, spec, rec)
     return BinResult(_eval_remainder(R, spec, rec), rec.counts(), "jco")
@@ -295,8 +342,9 @@ def jco_bin(v, k: int) -> BinResult:
 def jco_goertzel_bin(v, k: int) -> BinResult:
     """Cyclotomic reduction chained with the degree-2 reduction.
 
-    When totient(L) <= 2 the two stages coincide: the cyclotomic remainder
-    already has at most 2 taps, and the degree-2 stage passes it through.
+    When D = remainder_length(L) <= 2 the two stages coincide: the
+    cyclotomic remainder already has at most 2 taps, and the degree-2 stage
+    passes it through.
     """
     spec, rec = BinSpec.for_bin(len(v), k), OpRecorder()
     R = reduce_by_pk(_cyclo_reduce(v, spec, rec), spec.A, rec, spec.lam)

@@ -6,25 +6,28 @@ to. Measured counts follow the cost policy declared in dftbin.algorithms.
 Nominal formulas (real input, N >= 2):
 
     goertzel     = 2 + (N - 2) * [A nontrivial]      A = 2 cos(2 pi k / N)
-    jco          = 2 * (phi(L) - 1)                  L = N / gcd(N, k)
-    jco_goertzel = phi(L)        if phi(L) > 2
-                   2*(phi(L)-1)  otherwise (the two reduction stages coincide)
+    jco          = 2 * (D - 1)                       L = N / gcd(N, k)
+    jco_goertzel = D             if D > 2
+                   2 * (D - 1)   otherwise (the two reduction stages coincide)
 
 L comes from BinSpec.for_bin; A is trivial exactly when L is in
-algorithms.TRIVIAL_A_ORDERS. "stream" runs jco's stages after an online
-fold, and its value and counts are jco's, so every statement about jco
-here holds for stream. Measured counts can come in under nominal
-(final evaluation at special angles, trivial tap values). They stay at or
-under it while no cyclotomic stage has a tap above 2 in magnitude (every
-L < 385): at (385, 1) jco measures 550 mults against 478 nominal. Over
-(L, 1) on real input, jco_goertzel stays at or under goertzel for every
-L < 665, and fails at 12 orders below 2500, first at (665, 1) with 720 to
-goertzel's 665.
+algorithms.TRIVIAL_A_ORDERS. D = algorithms.remainder_length(L) is the
+length of the remainder the cyclotomic chain leaves: phi(L), except where
+the chain stops before a stage with a tap above 2 in magnitude (30 orders
+below 2500, the first 385, where D = 264 against phi(L) = 240). "stream"
+runs jco's stages after an online fold, and its value and counts are
+jco's, so every statement about jco here holds for stream. No stage of
+the chain multiplies, and measured counts can come in under nominal
+(final evaluation at special angles, trivial tap values). On real input,
+measured counts stay at or under nominal, and jco_goertzel at or under
+goertzel, at (L, 1) for every L < 2500 (a sweep of one uniform draw per
+order) and at (46189, 1), whose Phi_L has taps up to 38.
 """
 
 from . import algorithms, streaming
-from .algorithms import TRIVIAL_A_ORDERS, BinSpec, OpCounts, OpRecorder
-from .numtheory import bin_order, totient
+from .algorithms import TRIVIAL_A_ORDERS, BinSpec, OpCounts, OpRecorder, remainder_length
+# totient is unused here, but perfbench/layers.py wraps it by this name.
+from .numtheory import bin_order, totient  # noqa: F401
 
 __all__ = [
     "OpCounts",
@@ -51,9 +54,9 @@ def nominal_costs(N: int, k: int) -> tuple[int, int, int]:
     costs 0 everywhere (the bin value is just v_0).
     """
     L = BinSpec.for_bin(N, k).L
-    phi = totient(L)
-    jco = 2 * (phi - 1)
-    jcg = phi if phi > 2 else jco
+    D = remainder_length(L)
+    jco = 2 * (D - 1)
+    jcg = D if D > 2 else jco
     if N == 1:
         return (0, 0, 0)
     goertzel = 2 + (N - 2) * (0 if L in TRIVIAL_A_ORDERS else 1)

@@ -8,6 +8,7 @@ stage, which charge every operation through the counter's add and mul).
 """
 
 import cmath
+import math
 
 from dftbin.algorithms import root_power
 from dftbin.complexity import OpRecorder
@@ -74,15 +75,47 @@ def mp_bin(v, k):
         return complex(acc)
 
 
+# The 30 orders below 2500 whose Phi_L has a tap of magnitude 3 or more.
+ORDERS_WITH_TAP_ABOVE_2 = (
+    385, 595, 665, 770, 935, 1155, 1190, 1235, 1309, 1330, 1365, 1463, 1495, 1540,
+    1729, 1785, 1855, 1870, 1925, 1955, 1995, 2065, 2145, 2261, 2310, 2380, 2415,
+    2431, 2465, 2470)
+
+
+def chain_moduli(L):
+    """The dense moduli Phi_r(x**(L/r)) of the chain stages that run at
+    order L, for r the product of the i smallest primes of L, i = 1, 2, ...,
+    up to, not including, the first r whose Phi_r has a tap of magnitude 3
+    or more. Primes by trial division, so nothing comes from the library's
+    factorize or stage plan."""
+    moduli, r = [], 1
+    for p in range(2, L + 1):
+        if L % p or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            continue
+        phi = cyclotomic(r * p)
+        if max(map(abs, phi)) > 2:
+            break
+        r *= p
+        modulus = [0] * (L // r * (len(phi) - 1) + 1)
+        modulus[::L // r] = phi
+        moduli.append(modulus)
+    return moduli
+
+
 def single_cyclo_reduce(v, L):
     """The cyclotomic stage as one reduction: fold v modulo x**L - 1, then
-    divide by Phi_L in a single reduce_by_intpoly call. Returns the remainder
-    and its OpCounts; the library's chain of sparse factors must match it."""
+    divide in a single reduce_by_intpoly call by the modulus the chain stops
+    at, the last of chain_moduli(L) (Phi_L itself where every stage runs).
+    Returns the remainder and its OpCounts; the library's chain of sparse
+    factors must match it."""
     rec = OpRecorder()
     folded = v[:L]
     for start in range(L, len(v), L):
         folded = [rec.add(a, b) for a, b in zip(folded, v[start:start + L])]
-    return reduce_by_intpoly(folded, cyclotomic(L), rec), rec.counts()
+    moduli = chain_moduli(L)
+    if not moduli:  # L = 1: no stage runs
+        return folded, rec.counts()
+    return reduce_by_intpoly(folded, moduli[-1], rec), rec.counts()
 
 
 def first_order_reference(v, k):
@@ -167,8 +200,6 @@ def cyclotomic_kronecker(n):
 
 def primitive_root_indices(N, L):
     """Indices i in [0, N) whose N-th root power has multiplicative order L."""
-    import math
-
     return [i for i in range(N) if N // math.gcd(N, i) == L]
 
 
@@ -193,8 +224,6 @@ def numerator_product(N, k):
 
 
 def primitive_order(N, k):
-    import math
-
     return N // math.gcd(N, k % N)
 
 

@@ -8,9 +8,11 @@ import math
 import random
 import time
 
+import numpy as np
+
 from dftbin.algorithms import goertzel_bin, jco_bin, jco_goertzel_bin, naive_bin
 from dftbin.cli import main
-from dftbin.complexity import nominal_costs
+from dftbin.complexity import ALGORITHMS, measure, nominal_costs
 from dftbin.cyclotomic import cyclotomic, is_ternary
 from dftbin.dtmf import DIGITS, detect, synthesize
 from dftbin.numtheory import bin_order, divisors, factorize, totient
@@ -224,3 +226,36 @@ def test_criterion_7_streaming_block_equivalence():
     _report(7, "streaming/block equivalence", ok, elapsed,
             f"worst rel err {sweep['stream_vs_jco']:.3e}")
     assert sweep["stream_vs_jco"] <= 1e-10
+
+
+# Orders whose Phi_L has taps of magnitude 3 or more (up to 38 in Phi_46189),
+# so the cyclotomic chain stops before its last stage.
+STOP_RULE_LENGTHS = (385, 1155, 2310, 46189)
+
+
+def test_criterion_8_chain_stop_rows():
+    start = time.perf_counter()
+    rng = random.Random(46189)
+    failures = []
+    for N in STOP_RULE_LENGTHS:
+        for real in (True, False):
+            v = [rng.uniform(-1, 1) if real else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                 for _ in range(N)]
+            ref = complex(np.fft.fft(v)[1])
+            rms = math.sqrt(sum(abs(x) ** 2 for x in v))  # rms bin magnitude
+            results = {tag: measure(tag, v, 1) for tag in ALGORITHMS}
+            for tag, res in results.items():
+                if abs(res.value - ref) > 1e-9 * rms:
+                    failures.append(f"{tag} off numpy by {abs(res.value - ref) / rms:.2e} at N={N}")
+            jco, stream = results["jco"], results["stream"]
+            if (repr(jco.value), jco.counts) != (repr(stream.value), stream.counts):
+                failures.append(f"stream differs from jco at N={N}")
+            if results["jco_goertzel"].counts.real_mults > results["goertzel"].counts.real_mults:
+                failures.append(f"jco_goertzel above goertzel at N={N}")
+            if real and jco.counts.real_mults > nominal_costs(N, 1)[1]:
+                failures.append(f"jco above nominal at N={N}")
+    elapsed = time.perf_counter() - start
+    ok = not failures and elapsed < 20.0
+    _report(8, "chain stop rows", ok, elapsed)
+    assert not failures, failures
+    assert elapsed < 20.0

@@ -9,14 +9,15 @@ from fractions import Fraction
 from dftbin import algorithms
 from dftbin.algorithms import (REINSCH_MIN_A, TRIVIAL_A_ORDERS, BinSpec,
                                OpRecorder, _cyclo_reduce, _eval_remainder,
-                               goertzel_bin, jco_bin, jco_goertzel_bin, naive_bin, root_power)
+                               goertzel_bin, jco_bin, jco_goertzel_bin, naive_bin, root_power,
+                               stage_plan)
 from dftbin.complexity import measure, nominal_costs
 from dftbin.cyclotomic import cyclotomic
 from dftbin.dtmf import DEFAULT_CONFIG
 from dftbin.numtheory import bin_order, factorize, totient
 from dftbin.polynomial import reduce_by_intpoly, reduce_by_pk
 from dftbin.streaming import design_filter
-from oracles import dft_bin, mp_bin, single_cyclo_reduce
+from oracles import ORDERS_WITH_TAP_ABOVE_2, chain_moduli, dft_bin, mp_bin, single_cyclo_reduce
 
 ALGS = (naive_bin, goertzel_bin, jco_bin, jco_goertzel_bin)
 
@@ -313,6 +314,8 @@ def test_cyclotomic_stage_adds_linear(N, k):
 
 # Every order up to 400, and three with several distinct primes and taps of
 # magnitude 3 or more (1155 = 3*5*7*11, 1716 = 2**2*3*11*13, 2310 = 2*3*5*7*11).
+# From 385 on the chain stops early at some of them, so the single reduction
+# is by the modulus it stops at (oracles.chain_moduli).
 CHAIN_ORDERS = (*range(1, 401), 1155, 1716, 2310)
 
 
@@ -323,7 +326,7 @@ def _chain(v, L):
 
 def test_chain_equals_single_reduction_on_integer_input():
     # Integer arithmetic is exact, so the chain of factors and the one
-    # reduction by Phi_L must give the same remainder.
+    # reduction by the modulus it stops at must give the same remainder.
     rng = random.Random(28)
     for L in CHAIN_ORDERS:
         v = [rng.randrange(-3, 4) for _ in range(L)]
@@ -336,7 +339,7 @@ def test_chain_matches_single_reduction_and_costs_no_more():
         for v in (_rand_real(rng, L), _rand_complex(rng, L)):
             R, counts = _chain(v, L)
             ref, ref_counts = single_cyclo_reduce(v, L)
-            assert len(R) == len(ref) == max(totient(L), 1)
+            assert len(R) == len(ref) == stage_plan(L).D
             rms = math.sqrt(sum(abs(c) ** 2 for c in ref) / len(ref))
             assert max(abs(a - b) for a, b in zip(R, ref)) <= 1e-12 * rms, L
             assert counts.real_mults <= ref_counts.real_mults, L
@@ -346,8 +349,9 @@ def test_chain_matches_single_reduction_and_costs_no_more():
 @pytest.mark.parametrize("L", [1155, 2310])
 def test_chain_close_to_exact_remainder(L):
     # Floats scaled by 2**80 are integers, so the reduction of the scaled
-    # signal is exact. The single reduction is off by up to 1.6e-11 of the
-    # signal's rms here; the chain stays within 1e-12.
+    # signal by the modulus the chain stops at is exact. The single float
+    # reduction is off by up to 1.7e-14 of the signal's rms here, the chain
+    # by 6.1e-15; by Phi_L itself the single one was off by 1.6e-11.
     v = _rand_real(random.Random(32), L)
     scale = 1 << 80
     exact = [c / scale for c in single_cyclo_reduce([int(Fraction(x) * scale) for x in v], L)[0]]
@@ -355,17 +359,44 @@ def test_chain_close_to_exact_remainder(L):
     assert max(abs(a - b) for a, b in zip(_chain(v, L)[0], exact)) <= 1e-12 * rms
 
 
+def test_stage_plan_stops_at_first_tap_above_2():
+    # oracles.chain_moduli derives the stop from the taps of each Phi_r.
+    for L in range(1, 2500):
+        plan = stage_plan(L)
+        moduli = chain_moduli(L)
+        assert list(plan.moduli) == moduli, L
+        assert plan.D == (len(moduli[-1]) - 1 if moduli else 1), L
+        # The chain stops early exactly where Phi_L itself has a tap above 2.
+        stops = len(moduli) < len(factorize(L))
+        assert stops == (max(map(abs, cyclotomic(L))) > 2) == (L in ORDERS_WITH_TAP_ABOVE_2), L
+        if not stops:
+            assert plan.D == totient(L), L
+        else:
+            assert plan.D > totient(L), L
+
+
+def test_stage_plan_moduli_are_shared_and_unchanged():
+    # A warm call reuses the plan's moduli, and no kernel writes into them.
+    rng = random.Random(36)
+    plan = stage_plan(1155)
+    before = [list(m) for m in plan.moduli]
+    for tag in ("jco", "jco_goertzel", "stream"):
+        measure(tag, _rand_complex(rng, 2310), 2)
+    assert stage_plan(1155) is plan
+    assert [list(m) for m in plan.moduli] == before
+
+
 @pytest.mark.parametrize("N,k", [(205, 18), (1155, 1), (12012, 7), (2310, 1)])
 def test_cyclotomic_stage_adds_within_chain_bound(N, k):
     # The fold costs N - L adds; stage i, which reduces modulo
     # Phi_{r_i}(x**(L/r_i)) with r_i = p_1...p_i, costs (L/r_i) * phi(r_{i-1})
-    # steps of nnz(Phi_{r_i}) - 1 adds each.
+    # steps of nnz(Phi_{r_i}) - 1 adds each, for the stages that run.
     L = bin_order(N, k)
     bound = N - L
-    r = 1
-    for p, _ in factorize(L):
-        bound += L // (r * p) * totient(r) * (sum(1 for c in cyclotomic(r * p) if c) - 1)
-        r *= p
+    degree = L
+    for modulus in chain_moduli(L):
+        bound += (degree - (len(modulus) - 1)) * (sum(1 for c in modulus if c) - 1)
+        degree = len(modulus) - 1
     rec = OpRecorder()
     _cyclo_reduce(_rand_real(random.Random(34), N), BinSpec.for_bin(N, k), rec)
     assert rec.adds <= bound

@@ -17,9 +17,9 @@ from dftbin import algorithms
 from dftbin.algorithms import BinSpec, OpRecorder, _cyclo_reduce
 from dftbin.complexity import ALGORITHMS, measure
 from dftbin.cyclotomic import cyclotomic
-from dftbin.numtheory import factorize
 from dftbin.polynomial import fold, reduce_by_intpoly, reduce_by_pk
-from oracles import per_op_eval, per_op_fold, per_op_reduce_by_intpoly, per_op_reduce_by_pk
+from oracles import (chain_moduli, per_op_eval, per_op_fold, per_op_reduce_by_intpoly,
+                     per_op_reduce_by_pk)
 
 SMALL_N = range(1, 61)
 LARGE_N = (205, 385, 1155, 4096)
@@ -81,23 +81,12 @@ def check_pk(N) -> int:
     return cases
 
 
-def _chain_moduli(L):
-    moduli, r = [], 1
-    for p, _ in factorize(L):
-        r *= p
-        stride = L // r
-        phi = cyclotomic(r)
-        modulus = [0] * (stride * (len(phi) - 1) + 1)
-        modulus[::stride] = phi
-        moduli.append(modulus)
-    return moduli
-
-
 def check_cyclo(N) -> int:
     """For every order L of a bin of bins(N): the fold, the whole cyclotomic
-    stage against the per-op fold and chain, and, up to L = 385, where the
-    chain's last stage is short, reduce_by_intpoly by Phi_L itself (taps of
-    magnitude 2 at L = 105 and 385) on the unfolded signal."""
+    stage against the per-op fold and the chain stages that run
+    (oracles.chain_moduli; three of four at L = 1155), and, up to L = 385,
+    reduce_by_intpoly by Phi_L itself (taps of magnitude 2 at L = 105, 3 at
+    L = 385) on the unfolded signal."""
     cases = 0
     data = signals(N)
     for L in sorted({BinSpec.for_bin(N, k).L for k in bins(N)}):
@@ -109,7 +98,7 @@ def check_cyclo(N) -> int:
             got_rec, want_rec = OpRecorder(), OpRecorder()
             got = _cyclo_reduce(v, spec, got_rec)
             want = per_op_fold(v, L, want_rec)
-            for modulus in _chain_moduli(L):
+            for modulus in chain_moduli(L):
                 want = per_op_reduce_by_intpoly(want, modulus, want_rec)
             _same(("chain", N, L, kind), got, want, got_rec, want_rec)
             cases += 2

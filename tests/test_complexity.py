@@ -3,9 +3,12 @@ import random
 
 import pytest
 
+from dftbin.algorithms import stage_plan
 from dftbin.complexity import (CSV_HEADER, OpRecorder, REFERENCE_TABLE_SPECS,
                                complexity_table, format_csv, format_table,
                                measure, nominal_costs)
+from dftbin.numtheory import totient
+from oracles import ORDERS_WITH_TAP_ABOVE_2
 
 SQ2 = math.sqrt(2.0)
 
@@ -175,8 +178,9 @@ def test_measured_never_exceeds_nominal_small_sweep():
             assert measure("jco_goertzel", v, k).counts.real_mults <= jg
 
 
-# Every order below 385 whose cyclotomic polynomial has a +-2 coefficient; the
-# nominal claims hold up to there (at 385 a tap of magnitude 3 appears).
+# Every order below 385 whose cyclotomic polynomial has a +-2 coefficient. No
+# chain stage stops there (the first tap of magnitude 3 is in Phi_385), so the
+# remainder has phi(L) taps.
 ORDERS_WITH_TAP_2 = (105, 165, 195, 210, 255, 273, 285, 315, 330, 345, 357)
 
 
@@ -195,12 +199,22 @@ def test_measured_never_exceeds_nominal_at_orders_with_tap_2():
 
 
 def test_jco_goertzel_dominates_goertzel_past_tap_3():
-    # Orders with a tap of magnitude 3 or more where jco measures above its
-    # nominal count, yet jco_goertzel stays at or under goertzel: the chain of
-    # sparse factors charges those taps only on its short last stages. The
-    # first order where dominance fails is 665 (720 against 665).
+    # The orders below 2500 whose Phi_L has a tap of magnitude 3 or more. The
+    # chain stops before its last stage there, leaving D > phi(L) taps, and
+    # both claims hold against the nominal counts on D: measured never above
+    # nominal, and jco_goertzel never above goertzel. With the whole chain the
+    # first failed at all 30 orders, the second at 12, first at (665, 1) with
+    # 720 to goertzel's 665.
     rng = random.Random(45)
-    for L in (385, 595, 770, 935):
+    for L in ORDERS_WITH_TAP_ABOVE_2:
+        D = stage_plan(L).D
+        assert D > totient(L), L
         v = [rng.uniform(-1, 1) for _ in range(L)]
+        g, j, jg = nominal_costs(L, 1)
+        assert (j, jg) == (2 * (D - 1), D), L
         measured_g = measure("goertzel", v, 1).counts.real_mults
-        assert measure("jco_goertzel", v, 1).counts.real_mults <= measured_g, L
+        measured_jg = measure("jco_goertzel", v, 1).counts.real_mults
+        assert measured_g <= g, L
+        assert measure("jco", v, 1).counts.real_mults <= j, L
+        assert measured_jg <= jg, L
+        assert measured_jg <= measured_g, L
