@@ -36,8 +36,10 @@ class ShapeError(Exception):
     pass
 
 
-def read_signal(path: str) -> list[complex]:
-    """Parse a signal file into complex samples."""
+def read_signal(path: str) -> list[float | complex]:
+    """Parse a signal file: an `re` line gives a float sample, and an
+    `re,im` line a complex one, so a real file runs the kernels' real
+    layouts."""
     samples = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -48,7 +50,7 @@ def read_signal(path: str) -> list[complex]:
                 parts = line.split(",")
                 try:
                     if len(parts) == 1:
-                        z = complex(float(parts[0]), 0.0)
+                        z = float(parts[0])
                     elif len(parts) == 2:
                         z = complex(float(parts[0]), float(parts[1]))
                     else:

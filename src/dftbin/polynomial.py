@@ -21,6 +21,17 @@ are real, so the kernel only tallies the step, and hands the tally to
 that method. A step with a zero operand goes through counter.add and
 counter.mul. Values are the same either way: a counter with only add and
 mul gets them, without the counts of the tallied steps.
+
+reduce_by_pk, the degree-2 stage that Goertzel's algorithm and the
+combined one end in, keeps its registers in floats where they hold exactly
+what complex registers would. Real samples get one float per register;
+complex data get a real and an imaginary float per register; a signal
+outside the bound (N * sum|v| < 1e300, and the recursion's constant at
+most 2 in magnitude, so that nothing overflows) runs step by step on
+complex registers. Within the bound a full step's complex arithmetic
+equals the float arithmetic component by component, given CPython's
+promotion of a float operand to complex(x, 0.0) (3.10 to 3.13); its
+docstring gives the argument.
 """
 
 from itertools import compress
@@ -36,6 +47,10 @@ __all__ = [
 ]
 
 _imag = attrgetter("imag")
+# Whether a float operand of complex arithmetic is promoted to
+# complex(x, 0.0), as in CPython 3.10-3.13; reduce_by_pk's single float
+# registers rely on it.
+_PROMOTES = repr(1.0 + complex(0.0, -0.0)) == "(1+0j)"
 
 
 def trim(p: list) -> list:
@@ -214,11 +229,33 @@ def reduce_by_pk(signal: list, A: float, counter,
 
     A step is full when no operand of its adds has a zero component and
     its product is nonzero, or, for a constant of 0 (A = 0, or lam = 0 at
-    A = +-2), exactly zero. The data are real when no sample has a nonzero
-    imaginary part. On real data a full step costs (cost(A), 2) in the
-    plain form and (cost(lam), 3) in Reinsch's, one add fewer for a
+    A = +-2), exactly zero. On real data a full step costs (cost(A), 2) in
+    the plain form and (cost(lam), 3) in Reinsch's, one add fewer for a
     constant of 0, and on complex data twice that. Full steps are charged
     in bulk, the others through counter.add and counter.mul.
+
+    The values and counts are those of complex registers (s1 = s2 = d = 0j)
+    stepped as above, bit for bit; only the layout of the registers is
+    chosen from the input:
+    - Per-op: unless the recursion's own constant (A, or lam +- 2 in
+      Reinsch's form) is at most 2 in magnitude and N * sum|v| < 1e300,
+      every step runs through add and mul on complex registers. Within
+      that bound every sample is finite and |s_n| <= (n + 1) * sum|v| up
+      to rounding, so no register or product comes near overflow, and no
+      step meets an inf or a NaN.
+    - Real: no sample has a nonzero imaginary part. Where no sample is
+      complex-typed either, a register is one float: CPython 3.10-3.13
+      promote a float operand of complex arithmetic to complex(x, 0.0),
+      under which complex registers hold a +0.0 imaginary part throughout
+      and, as real part, the float step's result. Otherwise (or on an
+      interpreter that does not promote) the same loop runs on 0j
+      registers.
+    - Split: some sample has a nonzero imaginary part, and a register is
+      a pair of floats. A full step has no zero component, and the cross
+      terms of the complex products, +-0.0 on finite operands, leave each
+      component as the pair computes it. Every other step runs through
+      add and mul on complex registers rebuilt from the pairs, which
+      keeps the signed zeros of complex arithmetic.
     """
     n = len(signal)
     if n == 0:
@@ -226,50 +263,67 @@ def reduce_by_pk(signal: list, A: float, counter,
     if n == 1:
         return (signal[0], 0j)
     add, mul = counter.add, counter.mul
-    real = _is_real(signal)
+    sign = 1 if A > 0 else -1
+    sg = float(sign)  # a float * float product is the faster one
     const = A if lam is None else lam
     zero = not const
-    full = 0
-    s1 = s2 = 0j
-    # On real data s0 == s0 (sn == sn) fails when a register has overflowed:
-    # complex * float then leaves a NaN imaginary part, which add and mul
-    # charge as nonzero, so such a step goes the per-op way.
-    if lam is None:
-        for x in reversed(signal[1:]):
-            m = s1 * A
+    v = signal[:0:-1]
+
+    def step(x, s1, s2, d):
+        # One step through add and mul: the new s1 and d.
+        if lam is None:
+            return add(add(x, mul(s1, A)), -s2), d
+        d = add(add(x, mul(s1, lam)), sign * d)
+        return add(sign * s1, d), d
+
+    full = width = 0
+    if not (abs(const if lam is None else lam + 2 * sign) <= 2
+            and n * sum(map(abs, signal)) < 1e300):
+        s1 = s2 = d = 0j
+        for x in v:
+            s2, (s1, d) = s1, step(x, s1, s2, d)
+    elif not (typed := isinstance(sum(signal), complex)) or _is_real(signal):
+        width = 1
+        s1 = s2 = d = 0.0 if _PROMOTES and not typed else 0j
+        for x in v:
+            m = s1 * const
             t = x + m
-            s0 = t + -s2
-            if (x and t and s2 and (not m if zero else m) and s0 == s0 if real
-                    else x.real and x.imag and t.real and t.imag and s2.real and s2.imag
-                    and (not m if zero else s1.imag and m.real and m.imag)):
-                full += 1
+            if lam is None:
+                if x and t and s2 and (zero or m):
+                    full += 1
+                    s2, s1 = s1, t - s2
+                    continue
             else:
-                s0 = add(add(x, mul(s1, A)), -s2)
-            s2 = s1
-            s1 = s0
-        adds = 2 - zero
+                dn = t + sg * d
+                if x and t and d and dn and s1 and (zero or m):
+                    full += 1
+                    s2, s1, d = s1, sg * s1 + dn, dn
+                    continue
+            s2, (s1, d) = s1, step(x, s1, s2, d)
+        s1, s2 = complex(s1), complex(s2)
     else:
-        sign = 1 if A > 0 else -1
-        d = 0j
-        for x in reversed(signal[1:]):
-            m = s1 * lam
-            t = x + m
-            sd = sign * d
-            dn = t + sd
-            ss = sign * s1
-            sn = ss + dn
-            if (x and t and sd and dn and ss and (not m if zero else m) and sn == sn if real
-                    else x.real and x.imag and t.real and t.imag and sd.real and sd.imag
-                    and dn.real and dn.imag and ss.real and ss.imag
-                    and (not m if zero else s1.imag and m.real and m.imag)):
-                full += 1
-                d = dn
+        width = 2
+        s1r = s1i = s2r = s2i = dr = di = 0.0
+        for z in v:
+            xr, xi = z.real, z.imag
+            mr, mi = s1r * const, s1i * const
+            tr, ti = xr + mr, xi + mi
+            if lam is None:
+                if xr and xi and tr and ti and s2r and s2i and (zero or mr and mi):
+                    full += 1
+                    s2r, s1r = s1r, tr - s2r
+                    s2i, s1i = s1i, ti - s2i
+                    continue
             else:
-                d = add(add(x, mul(s1, lam)), sign * d)
-                sn = add(sign * s1, d)
-            s2 = s1
-            s1 = sn
-        adds = 3 - zero
-    _charge(counter, full, adds if real else 2 * adds, const, 1 if real else 2)
-    r0 = add(signal[0], -s2)
-    return (r0, s1)
+                dnr, dni = tr + sg * dr, ti + sg * di
+                if (xr and xi and tr and ti and dr and di and dnr and dni and s1r and s1i
+                        and (zero or mr and mi)):
+                    full += 1
+                    s2r, s1r, dr = s1r, sg * s1r + dnr, dnr
+                    s2i, s1i, di = s1i, sg * s1i + dni, dni
+                    continue
+            s1, d = step(z, complex(s1r, s1i), complex(s2r, s2i), complex(dr, di))
+            s2r, s2i, s1r, s1i, dr, di = s1r, s1i, s1.real, s1.imag, d.real, d.imag
+        s1, s2 = complex(s1r, s1i), complex(s2r, s2i)
+    _charge(counter, full, (2 - zero if lam is None else 3 - zero) * width, const, width)
+    return (add(signal[0], -s2), s1)

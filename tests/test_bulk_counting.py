@@ -3,13 +3,15 @@ per-op kernels and per_op_eval in oracles.py charge every operation through
 OpRecorder.add and OpRecorder.mul, which define a count. Both must give the
 same counts and repr-equal values, on every kind of input: float, complex,
 small integers (real and complex, with cancellations), exact and signed
-zeros, and 1e308 samples whose registers overflow to inf and NaN.
+zeros, complex-typed real samples, samples on both sides of reduce_by_pk's
+layout bound, and 1e308 samples whose registers overflow to inf and NaN.
 
 Runs under pytest, or as a plain script on an interpreter without pytest:
 
     PYTHONPATH=src python tests/test_bulk_counting.py
 """
 
+import itertools
 import math
 import random
 
@@ -26,6 +28,14 @@ LARGE_N = (205, 385, 1155, 4096)
 ZEROS = (0, 0.0, -0.0, 0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
 
 
+def straddle(v):
+    """v scaled so that len(v) * sum|v| sits just below reduce_by_pk's layout
+    bound, 1e300, at odd length and just above it at even length."""
+    n = len(v)
+    scale = 1e300 * (1 - 1e-9 if n % 2 else 1 + 1e-9) / (n * sum(map(abs, v)))
+    return [x * scale for x in v]
+
+
 def signals(N):
     """One signal of length N of each input kind, seeded by N."""
     rng = random.Random(N)
@@ -33,9 +43,12 @@ def signals(N):
     def pick(choices):
         return [rng.choice(choices) for _ in range(N)]
 
+    def uniform_complex():
+        return [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(N)]
+
     return {
         "float": [rng.uniform(-1, 1) for _ in range(N)],
-        "complex": [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(N)],
+        "complex": uniform_complex(),
         "int": pick((-2, -1, 0, 0, 1, 1, 2)),
         "int_complex": [complex(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(N)],
         "zeros": pick(ZEROS + (1.5, -0.5, 1, complex(0.5, -0.0))),
@@ -48,6 +61,11 @@ def signals(N):
                                  for _ in range(N)],
         "overflow_complex": [complex(rng.choice((1e308, -1e308, 0.0)), rng.choice((1e308, 0.5)))
                              for _ in range(N)],
+        # Real layout registers fed these would flip a -0.0 imaginary part.
+        "complex_typed_real": [complex(rng.uniform(-1, 1), rng.choice((0.0, -0.0)))
+                               for _ in range(N)],
+        "near_bound": straddle([rng.uniform(-1, 1) for _ in range(N)]),
+        "near_bound_complex": straddle(uniform_complex()),
     }
 
 
@@ -178,6 +196,23 @@ def test_infinite_register_with_a_zero_imaginary_part():
                   per_op_reduce_by_pk(v, A, want_rec, lam), got_rec, want_rec)
 
 
+def test_signed_zeros_of_short_signals():
+    # Every pattern of real-part signs, zero imaginary-part signs and sample
+    # types up to length 4. A signed zero that complex arithmetic flips at
+    # one step often washes out at the next, so short signals show each one:
+    # float registers fed [0.3+0j, 0.5-0j, -1+0j] at A = -0.7 end in s1 =
+    # 1.2+0j, where complex registers hold 1.2-0j.
+    samples = [0.5, -0.75, complex(0.5, 0.0), complex(0.5, -0.0), complex(-0.75, 0.0),
+               complex(-0.75, -0.0)]
+    for n in range(2, 5):
+        for v in itertools.product(samples, repeat=n):
+            for A in (-1.5, -0.7, 0.0, 0.7, 1.5, -2.0, 2.0):
+                for lam in (None, A - math.copysign(2.0, A)):
+                    got_rec, want_rec = OpRecorder(), OpRecorder()
+                    _same(("pk", v, A, lam), reduce_by_pk(list(v), A, got_rec, lam),
+                          per_op_reduce_by_pk(list(v), A, want_rec, lam), got_rec, want_rec)
+
+
 class AddMulOnly:
     """A counter with the two required methods and no bulk charge."""
 
@@ -190,7 +225,8 @@ class AddMulOnly:
 
 def test_counter_without_bulk_gets_the_same_values():
     v = signals(385)
-    for kind in ("float", "complex", "int", "zeros", "overflow"):
+    for kind in ("float", "complex", "complex_typed_real", "near_bound", "near_bound_complex",
+                 "int", "zeros", "overflow"):
         for k in (1, 2, 77, 192):
             spec = BinSpec.for_bin(385, k)
             for lam in (None, spec.A - math.copysign(2.0, spec.A)):
@@ -200,6 +236,13 @@ def test_counter_without_bulk_gets_the_same_values():
             plain, rec = AddMulOnly(), OpRecorder()
             got = _cyclo_reduce(v[kind], spec, plain)
             assert repr(got) == repr(_cyclo_reduce(v[kind], spec, rec)), (kind, k)
+
+
+def test_near_bound_kinds_straddle_the_layout_bound():
+    for N in SMALL_N:
+        data = signals(N)
+        for kind in ("near_bound", "near_bound_complex"):
+            assert (N * sum(map(abs, data[kind])) < 1e300) == (N % 2 == 1), (N, kind)
 
 
 def test_bulk_charges_what_add_and_mul_charge():
@@ -220,7 +263,9 @@ def sweep():
     """Run every check; return the number of kernel cases compared."""
     cases = sum(check_pk(N) + check_cyclo(N) + check_eval(N) for N in (*SMALL_N, *LARGE_N))
     test_infinite_register_with_a_zero_imaginary_part()
+    test_signed_zeros_of_short_signals()
     test_counter_without_bulk_gets_the_same_values()
+    test_near_bound_kinds_straddle_the_layout_bound()
     test_bulk_charges_what_add_and_mul_charge()
     return cases
 

@@ -19,7 +19,9 @@ def _write(tmp_path, name, text):
 
 def test_read_signal_format(tmp_path):
     path = _write(tmp_path, "sig.txt", "# header\n1\n2.5\n\n-3,4\n")
-    assert read_signal(path) == [1 + 0j, 2.5 + 0j, complex(-3, 4)]
+    samples = read_signal(path)
+    assert samples == [1.0, 2.5, complex(-3, 4)]
+    assert [type(z) for z in samples] == [float, float, complex]
 
 
 def test_read_signal_errors(tmp_path):
