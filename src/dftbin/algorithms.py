@@ -76,6 +76,10 @@ The evaluation stage reads W**m from _ROOT_TABLES instead: one table per N,
 whose slot r = k*m mod N holds root_power(N, r) and its _const_cost, filled
 the first time a bin of N visits r. A table holds at most N slots, shared
 by every bin of N, so a sweep of every bin of N keeps N roots, not N**2.
+A slot is one entry in each of two lists, 16 bytes on a 64-bit CPython,
+plus a 32-byte complex once filled; its cost is a small int, which CPython
+shares. The root stays a complex: on complex data the stage multiplies by
+it as it is, and on real data it reads its two components.
 root_power returns every multiple of an eighth turn exactly and A is an
 integer on TRIVIAL_A_ORDERS, so below N of about 5.96e8 the bin's constants
 are charged on L: A and lam cost 1, and W costs 2, 1 at L = 8 and nothing at
@@ -253,8 +257,9 @@ def remainder_length(L: int) -> int:
 
 StagePlan = namedtuple("StagePlan", "D moduli")
 StagePlan.__doc__ = """The chain stages that run at one order L: moduli
-holds, per stage, the dense dilated modulus Phi_{r_i}(x**(L/r_i)) as a list
-that no kernel mutates, and D is remainder_length(L)."""
+holds, per stage, the dense dilated modulus Phi_{r_i}(x**(L/r_i)) as a
+tuple, the key under which reduce_by_intpoly memoises its split into taps,
+and D is remainder_length(L)."""
 
 
 @functools.lru_cache(maxsize=64)
@@ -266,7 +271,7 @@ def stage_plan(L: int) -> StagePlan:
         phi_r = cyclotomic(r)
         modulus = [0] * (stride * (len(phi_r) - 1) + 1)
         modulus[::stride] = phi_r
-        moduli.append(modulus)
+        moduli.append(tuple(modulus))
     return StagePlan(remainder_length(L), tuple(moduli))
 
 
@@ -288,6 +293,12 @@ def _eval_remainder(R, spec: BinSpec, rec: OpRecorder) -> complex:
     # are mul's and add's, tallied inline and charged once: a product costs
     # the root's cost for real c and twice that for complex c; an add whose
     # operands have no zero component costs 2, any other goes through rec.add.
+    # Where no tap is complex-typed, the sum runs on two float accumulators:
+    # a full tap's product c * w has the components c * w.real and
+    # c * w.imag (the cross terms of a promoted float are +-0.0 against
+    # nonzero components), so the float adds are the complex add's. Any
+    # other tap runs on the complex values rebuilt, as on complex data.
+    # R[0] is tested first because summing complex taps is the slow scan.
     N, k = spec.N, spec.k
     table = _ROOT_TABLES.get(N)
     if table is None:
@@ -295,25 +306,48 @@ def _eval_remainder(R, spec: BinSpec, rec: OpRecorder) -> complex:
     roots, costs = table
     acc = complex(R[0])
     mults = adds = r = 0
-    for c in islice(R, 1, None):
-        r += k
-        if r >= N:
-            r -= N
-        if c == 0:
-            continue
-        w = roots[r]
-        if w is None:
-            w = roots[r] = root_power(N, r)
-            costs[r] = _const_cost(w)
-        cost = costs[r]
-        if cost:
-            mults += 2 * cost if c.imag else cost
-        p = c * w
-        if acc.real and acc.imag and p.real and p.imag:
-            adds += 2
-            acc += p
-        else:
-            acc = rec.add(acc, p)
+    if not isinstance(R[0], complex) and not isinstance(sum(R), complex):
+        ar, ai = acc.real, acc.imag
+        for c in islice(R, 1, None):
+            r += k
+            if r >= N:
+                r -= N
+            if c == 0:
+                continue
+            w = roots[r]
+            if w is None:
+                w = roots[r] = root_power(N, r)
+                costs[r] = _const_cost(w)
+            mults += costs[r]
+            pr, pi = c * w.real, c * w.imag
+            if ar and ai and pr and pi:
+                adds += 2
+                ar += pr
+                ai += pi
+            else:
+                acc = rec.add(complex(ar, ai), c * w)
+                ar, ai = acc.real, acc.imag
+        acc = complex(ar, ai)
+    else:
+        for c in islice(R, 1, None):
+            r += k
+            if r >= N:
+                r -= N
+            if c == 0:
+                continue
+            w = roots[r]
+            if w is None:
+                w = roots[r] = root_power(N, r)
+                costs[r] = _const_cost(w)
+            cost = costs[r]
+            if cost:
+                mults += 2 * cost if c.imag else cost
+            p = c * w
+            if acc.real and acc.imag and p.real and p.imag:
+                adds += 2
+                acc += p
+            else:
+                acc = rec.add(acc, p)
     rec.mults += mults
     rec.adds += adds
     return acc

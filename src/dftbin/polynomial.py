@@ -13,6 +13,13 @@ object with `add(x, y)` returning x + y and `mul(value, const)` returning
 value * const; the metering OpRecorder is one, and its add and mul are the
 definition of a count.
 
+reduce_by_intpoly takes its modulus dense, and splits it into taps once:
+the checks and the split are memoised on tuple(modulus), so the chain's
+stage moduli, which algorithms.stage_plan keeps as tuples, are scanned once
+and then cost one hash of the tuple per call, while among the 64 moduli
+used last. A split holds its offsets as ints: about 2.7 MB for the 65,536
+taps of Phi_65537.
+
 Counting goes in bulk. A kernel does the arithmetic itself and tests each
 step. When no operand of the step has a zero component, what add and mul
 would charge for it is fixed by the constant and by whether the operands
@@ -34,6 +41,7 @@ promotion of a float operand to complex(x, 0.0) (3.10 to 3.13); its
 docstring gives the argument.
 """
 
+import functools
 from itertools import compress
 from operator import attrgetter
 
@@ -135,6 +143,8 @@ def fold(signal: list, L: int, counter) -> list:
     in full and charged in bulk; any other block goes through counter.add.
     """
     R = signal[:L]
+    if len(signal) <= L:
+        return R
     add = counter.add
     real = _is_real(signal)
     full = 0
@@ -149,6 +159,30 @@ def fold(signal: list, L: int, counter) -> list:
     return R
 
 
+@functools.lru_cache(maxsize=64)
+def _split(modulus: tuple) -> tuple[int, list[int], list[int], list[tuple[int, int]]]:
+    # deg, and the taps j < deg of a monic integer modulus: the offsets
+    # whose slot gains +c (m_j = -1), those that gain -c (m_j = +1), and
+    # (j, -m_j) for the rest. lru_cache keeps no exception, so a bad
+    # modulus raises on every call.
+    modulus = trim(modulus)
+    if len(modulus) < 2:
+        raise ValueError("modulus must have degree >= 1")
+    if modulus[-1] != 1:
+        raise ValueError("modulus must be monic")
+    deg = len(modulus) - 1
+    plus, minus, other = [], [], []
+    for j in compress(range(deg), modulus):
+        m = modulus[j]
+        if m == -1:
+            plus.append(j)
+        elif m == 1:
+            minus.append(j)
+        else:
+            other.append((j, -m))
+    return deg, plus, minus, other
+
+
 def reduce_by_intpoly(signal: list, modulus: list[int], counter) -> list:
     """Remainder of a signal polynomial modulo a monic integer polynomial.
 
@@ -158,6 +192,11 @@ def reduce_by_intpoly(signal: list, modulus: list[int], counter) -> list:
     coefficients are all in {0, +-1} (every cyclotomic below order 105) the
     reduction performs no multiplications, only additions and subtractions.
 
+    The modulus is dense (a list or tuple of ints); its checks and its split
+    into taps are memoised on tuple(modulus), so a warm call with the same
+    tuple pays one hash of it, not a scan. The +1 and -1 taps of a step
+    write distinct slots, so they run as two loops.
+
     The adds of the +-1 taps are charged in bulk. Where c is real, the add
     of +-c costs 1 exactly when the slot's real part is nonzero; where c
     has two nonzero components, a slot with two costs 2, and any other
@@ -166,16 +205,7 @@ def reduce_by_intpoly(signal: list, modulus: list[int], counter) -> list:
 
     Returns deg(modulus) coefficients (possibly zero-padded).
     """
-    modulus = trim(modulus)
-    if len(modulus) < 2:
-        raise ValueError("modulus must have degree >= 1")
-    if modulus[-1] != 1:
-        raise ValueError("modulus must be monic")
-    deg = len(modulus) - 1
-    units = [(j, modulus[j] == -1) for j in compress(range(deg), modulus)
-             if modulus[j] in (1, -1)]
-    other = [(j, -modulus[j]) for j in compress(range(deg), modulus)
-             if modulus[j] not in (1, -1)]
+    deg, plus, minus, other = _split(tuple(modulus))
     rem = list(signal)
     if len(rem) < deg:
         rem += [0j] * (deg - len(rem))
@@ -189,22 +219,36 @@ def reduce_by_intpoly(signal: list, modulus: list[int], counter) -> list:
         base = i - deg
         nc = -c
         if not c.imag:
-            for j, plus in units:
+            for j in plus:
                 j += base
                 s = rem[j]
                 if s.real:
                     adds += 1
-                rem[j] = s + (c if plus else nc)
+                rem[j] = s + c
+            for j in minus:
+                j += base
+                s = rem[j]
+                if s.real:
+                    adds += 1
+                rem[j] = s + nc
         else:
             both = c.real
-            for j, plus in units:
+            for j in plus:
                 j += base
                 s = rem[j]
                 if both and s.real and s.imag:
                     adds += 2
-                    rem[j] = s + (c if plus else nc)
+                    rem[j] = s + c
                 else:
-                    rem[j] = add(s, c if plus else nc)
+                    rem[j] = add(s, c)
+            for j in minus:
+                j += base
+                s = rem[j]
+                if both and s.real and s.imag:
+                    adds += 2
+                    rem[j] = s + nc
+                else:
+                    rem[j] = add(s, nc)
         for j, neg_mj in other:
             j += base
             rem[j] = add(rem[j], mul(c, neg_mj))

@@ -364,7 +364,7 @@ def test_stage_plan_stops_at_first_tap_above_2():
     for L in range(1, 2500):
         plan = stage_plan(L)
         moduli = chain_moduli(L)
-        assert list(plan.moduli) == moduli, L
+        assert [list(m) for m in plan.moduli] == moduli, L
         assert plan.D == (len(moduli[-1]) - 1 if moduli else 1), L
         # The chain stops early exactly where Phi_L itself has a tap above 2.
         stops = len(moduli) < len(factorize(L))

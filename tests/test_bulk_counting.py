@@ -3,8 +3,9 @@ per-op kernels and per_op_eval in oracles.py charge every operation through
 OpRecorder.add and OpRecorder.mul, which define a count. Both must give the
 same counts and repr-equal values, on every kind of input: float, complex,
 small integers (real and complex, with cancellations), exact and signed
-zeros, complex-typed real samples, samples on both sides of reduce_by_pk's
-layout bound, and 1e308 samples whose registers overflow to inf and NaN.
+zeros, complex-typed real samples (all of them, or some among floats),
+samples on both sides of reduce_by_pk's layout bound, and 1e308 samples
+whose registers overflow to inf and NaN.
 
 Runs under pytest, or as a plain script on an interpreter without pytest:
 
@@ -64,6 +65,10 @@ def signals(N):
         # Real layout registers fed these would flip a -0.0 imaginary part.
         "complex_typed_real": [complex(rng.uniform(-1, 1), rng.choice((0.0, -0.0)))
                                for _ in range(N)],
+        # Float samples among 0j and complex(x, -0.0) ones: a float first,
+        # so only a scan of every tap finds the complex-typed ones.
+        "mixed_typed_real": [rng.uniform(-1, 1)] + pick(
+            (0.5, -0.75, 1.25, 0j, complex(0.5, -0.0), complex(-0.25, -0.0)))[1:],
         "near_bound": straddle([rng.uniform(-1, 1) for _ in range(N)]),
         "near_bound_complex": straddle(uniform_complex()),
     }

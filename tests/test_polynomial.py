@@ -49,10 +49,37 @@ def test_reduce_by_intpoly_examples():
 
 
 def test_reduce_by_intpoly_rejects_bad_modulus():
+    # The split of a modulus is memoised; a bad one raises on every call.
+    for modulus in ([5], [1], [1, 0], [], [1, 0, 2], (1, 0, 2), [1, 1, -1]):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                reduce_by_intpoly([1, 2], modulus, OpRecorder())
+
+
+def test_reduce_by_intpoly_list_and_tuple_modulus_agree():
+    rng = random.Random(8)
+    for L in (5, 12, 105, 385):
+        phi = cyclotomic(L)
+        v = _random_complex_poly(rng, 3 * L)
+        got = [(repr(reduce_by_intpoly(v, m, rec)), rec.counts())
+               for m, rec in ((list(phi), OpRecorder()), (tuple(phi), OpRecorder()),
+                              (list(phi) + [0, 0], OpRecorder()))]
+        assert got[0] == got[1] == got[2], L
+
+
+def test_reduce_by_intpoly_honours_a_mutated_modulus():
+    # The memo is keyed on the modulus's taps, not on the list object.
+    v = [0.5, -1.25, 3.0, 2.0, -0.5, 1.5]
+    modulus = [1, 0, 1]
+    first = reduce_by_intpoly(v, modulus, OpRecorder())
+    modulus[1] = -1
+    assert reduce_by_intpoly(v, modulus, OpRecorder()) == \
+        reduce_by_intpoly(v, [1, -1, 1], OpRecorder()) != first
+    modulus[:] = [-1, 1]
+    assert reduce_by_intpoly(v, modulus, OpRecorder()) == [pytest.approx(sum(v))]
+    modulus[-1] = 2
     with pytest.raises(ValueError):
-        reduce_by_intpoly([1, 2], [5], OpRecorder())
-    with pytest.raises(ValueError):
-        reduce_by_intpoly([1, 2], [1, 0, 2], OpRecorder())
+        reduce_by_intpoly(v, modulus, OpRecorder())
 
 
 def test_reduce_by_intpoly_short_signal_passthrough():
