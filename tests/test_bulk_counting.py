@@ -65,12 +65,12 @@ def signals(N):
         # Real layout registers fed these would flip a -0.0 imaginary part.
         "complex_typed_real": [complex(rng.uniform(-1, 1), rng.choice((0.0, -0.0)))
                                for _ in range(N)],
+        "near_bound": straddle([rng.uniform(-1, 1) for _ in range(N)]),
+        "near_bound_complex": straddle(uniform_complex()),
         # Float samples among 0j and complex(x, -0.0) ones: a float first,
         # so only a scan of every tap finds the complex-typed ones.
         "mixed_typed_real": [rng.uniform(-1, 1)] + pick(
             (0.5, -0.75, 1.25, 0j, complex(0.5, -0.0), complex(-0.25, -0.0)))[1:],
-        "near_bound": straddle([rng.uniform(-1, 1) for _ in range(N)]),
-        "near_bound_complex": straddle(uniform_complex()),
     }
 
 
