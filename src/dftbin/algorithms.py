@@ -42,6 +42,22 @@ primes. Stage i takes (L/r_i) * phi(r_{i-1}) steps of nnz(Phi_{r_i}) - 1
 adds each, so the cyclotomic stage costs N - L adds plus the sum of those
 over the stages that run; a prime-power L is a single reduction.
 
+Bins of one signal share its cyclotomic stage: the fold and the chain
+depend on the samples and on L, not on k. jco_bin and jco_goertzel_bin
+reach the stage through _cyclo_stage, which keeps, for the last signal it
+reduced, one entry per order L: the remainder, as a tuple the next stage
+cannot change, and the stage's exact (mults, adds). A later call reuses
+the entry when it passes the same sample objects at the same L, compared
+by `is` against a tuple of them that the memo holds, so that none of them
+can be freed and its id reused. Identity, not equality: -0.0 == 0.0 and
+1 == 1.0, but the bins they give differ in sign or type. A copy, a signal
+changed in place and another signal compute the stage again, and the
+memo drops the old signal before it does. A reused entry charges its
+stored counts to the call's own recorder, so every result still carries
+that bin's stand-alone counts. What stays held is the last signal's
+samples and one remainder per order reduced, of at most L taps each.
+streaming.finalize calls _cyclo_reduce on its slots and shares nothing.
+
 Goertzel's degree-2 stage runs the plain recursion by A, except where
 |A| >= REINSCH_MIN_A = 1.875 at an order outside TRIVIAL_A_ORDERS: there it
 runs Reinsch's form with lam = A -+ 2, taken from the half angle in full
@@ -96,6 +112,7 @@ import functools
 import math
 from collections import namedtuple
 from itertools import islice
+from operator import is_
 
 from .cyclotomic import cyclotomic
 from .numtheory import bin_index, bin_order, factorize, totient
@@ -137,6 +154,9 @@ def _const_cost(c) -> int:
 _COST_CACHE: dict[complex, int] = {}
 # N -> (roots, costs) of _eval_remainder, see "Cost policy" above.
 _ROOT_TABLES: dict[int, tuple[list, list]] = {}
+# The last signal _cyclo_stage reduced, as (tuple of its samples,
+# {L: (R, mults, adds)}), or None; see the shared stage above.
+_STAGE_MEMO = None
 
 
 class OpRecorder:
@@ -286,6 +306,27 @@ def _cyclo_reduce(v, spec: BinSpec, rec: OpRecorder) -> list:
     return R
 
 
+def _cyclo_stage(v, spec: BinSpec, rec: OpRecorder) -> tuple:
+    # _cyclo_reduce's remainder as a tuple, shared by the bins of v of one
+    # order. The memo is read once: a concurrent caller can at worst
+    # compute a stage again.
+    global _STAGE_MEMO
+    memo = _STAGE_MEMO
+    if memo is None or len(memo[0]) != len(v) or not all(map(is_, memo[0], v)):
+        _STAGE_MEMO = None  # never hold two signals' remainders
+        memo = (tuple(v), {})
+    entry = memo[1].get(spec.L)
+    if entry is None:
+        mults, adds = rec.mults, rec.adds
+        R = tuple(_cyclo_reduce(v, spec, rec))
+        entry = memo[1][spec.L] = (R, rec.mults - mults, rec.adds - adds)
+        _STAGE_MEMO = memo
+    else:
+        rec.mults += entry[1]
+        rec.adds += entry[2]
+    return entry[0]
+
+
 def _eval_remainder(R, spec: BinSpec, rec: OpRecorder) -> complex:
     # Sum of R[m] * W**m, W**m = root_power(N, k*m mod N) from N's root
     # table. Each nonzero real tap past the constant costs at most 2 real
@@ -369,7 +410,7 @@ def goertzel_bin(v, k: int) -> BinResult:
 def jco_bin(v, k: int) -> BinResult:
     """Cyclotomic reduction to D = remainder_length(L) taps, evaluated at W."""
     spec, rec = BinSpec.for_bin(len(v), k), OpRecorder()
-    R = _cyclo_reduce(v, spec, rec)
+    R = _cyclo_stage(v, spec, rec)
     return BinResult(_eval_remainder(R, spec, rec), rec.counts(), "jco")
 
 
@@ -381,5 +422,5 @@ def jco_goertzel_bin(v, k: int) -> BinResult:
     passes it through.
     """
     spec, rec = BinSpec.for_bin(len(v), k), OpRecorder()
-    R = reduce_by_pk(_cyclo_reduce(v, spec, rec), spec.A, rec, spec.lam)
+    R = reduce_by_pk(_cyclo_stage(v, spec, rec), spec.A, rec, spec.lam)
     return BinResult(_eval_remainder(R, spec, rec), rec.counts(), "jco_goertzel")

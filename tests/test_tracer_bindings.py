@@ -34,10 +34,16 @@ def test_tracer_installs_and_removes(tracer):
         assert getattr(mod, attr) is orig is not wrapper
 
 
-def test_kernels_are_called_through_module_globals(tracer):
+def _signal():
+    # Equal values in fresh float objects on every call, so no two tags
+    # share the cyclotomic stage.
     rng = random.Random(3)
-    v = [rng.uniform(-1, 1) for _ in range(48)]
+    return [rng.uniform(-1, 1) for _ in range(48)]
+
+
+def test_kernels_are_called_through_module_globals(tracer):
     for alg in ("naive", "goertzel", "jco", "jco_goertzel", "stream"):
+        v = _signal()
         complexity.measure(alg, v, 1)
     layers = tracer.layers
     # goertzel_bin, jco_bin, jco_goertzel_bin, and _eval_remainder inside
@@ -52,3 +58,12 @@ def test_kernels_are_called_through_module_globals(tracer):
     assert layers["streaming.push"].calls == len(v)
     assert layers["streaming.finalize"].calls == 1
     assert layers["complexity.measure"].calls == 5
+
+
+def test_jco_goertzel_after_jco_reuses_the_cyclotomic_stage(tracer):
+    v = _signal()
+    complexity.measure("jco", v, 1)
+    assert tracer.layers["polynomial.reduce_by_intpoly"].calls == 2
+    complexity.measure("jco_goertzel", v, 1)
+    assert tracer.layers["polynomial.reduce_by_intpoly"].calls == 2
+    assert tracer.layers["polynomial.reduce_by_pk"].calls == 1
