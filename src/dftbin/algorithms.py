@@ -308,8 +308,9 @@ def _cyclo_reduce(v, spec: BinSpec, rec: OpRecorder) -> list:
 
 def _cyclo_stage(v, spec: BinSpec, rec: OpRecorder) -> tuple:
     # _cyclo_reduce's remainder as a tuple, shared by the bins of v of one
-    # order. The memo is read once: a concurrent caller can at worst
-    # compute a stage again.
+    # order. rec is the call's fresh recorder, so its counts after the
+    # stage are the stage's. The memo is read once: a concurrent caller
+    # can at worst compute a stage again.
     global _STAGE_MEMO
     memo = _STAGE_MEMO
     if memo is None or len(memo[0]) != len(v) or not all(map(is_, memo[0], v)):
@@ -317,13 +318,11 @@ def _cyclo_stage(v, spec: BinSpec, rec: OpRecorder) -> tuple:
         memo = (tuple(v), {})
     entry = memo[1].get(spec.L)
     if entry is None:
-        mults, adds = rec.mults, rec.adds
         R = tuple(_cyclo_reduce(v, spec, rec))
-        entry = memo[1][spec.L] = (R, rec.mults - mults, rec.adds - adds)
+        entry = memo[1][spec.L] = (R, rec.mults, rec.adds)
         _STAGE_MEMO = memo
     else:
-        rec.mults += entry[1]
-        rec.adds += entry[2]
+        _, rec.mults, rec.adds = entry
     return entry[0]
 
 

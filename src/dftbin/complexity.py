@@ -109,6 +109,13 @@ def measure(alg: str, v, k: int):
     call, so a rebinding of e.g. algorithms.jco_bin is honoured. Samples are
     trusted: none is checked for being finite, and a NaN or inf sample
     propagates to the value.
+
+    Calls on the same sample objects share time, not counts: "jco" and
+    "jco_goertzel" reuse the last signal's cyclotomic stage at an order
+    already reduced (see dftbin.algorithms), and each result keeps the
+    counts of a stand-alone call. So M bins of one signal take less time
+    than M separate calls did, but the sum of their counts still charges
+    the shared stage M times.
     """
     module = ALGORITHMS.get(alg)
     if module is None:

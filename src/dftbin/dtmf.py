@@ -6,6 +6,13 @@ magnitudes inside the row group and the column group; a digit is reported
 only when both winners dominate their runner-up by the configured ratio.
 This is a demo decoder, not a compliant one (no twist or second-harmonic
 checks).
+
+detect measures its eight bins one measure() call at a time on the one
+block. Seven of the default bins have order 205 and one (k = 20) order 41,
+so with "jco" or "jco_goertzel" the block is folded and chained once per
+order, and the other bins of that order reuse the remainder
+(dftbin.algorithms, shared stage); each bin still reports its stand-alone
+counts.
 """
 
 import math
