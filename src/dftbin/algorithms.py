@@ -50,9 +50,10 @@ cannot change, and the stage's exact (mults, adds). A later call reuses
 the entry when it passes the same sample objects at the same L, compared
 by `is` against a tuple of them that the memo holds, so that none of them
 can be freed and its id reused. Identity, not equality: -0.0 == 0.0 and
-1 == 1.0, but the bins they give differ in sign or type. A copy, a signal
-changed in place and another signal compute the stage again, and the
-memo drops the old signal before it does. A reused entry charges its
+1 == 1.0 == complex(1.0, 0.0), but their remainders differ in sign or in
+type, on which the later stages' signed zeros and counts depend. A copy,
+a signal changed in place and another signal compute the stage again,
+and the memo drops the old signal before it does. A reused entry charges its
 stored counts to the call's own recorder, so every result still carries
 that bin's stand-alone counts. What stays held is the last signal's
 samples and one remainder per order reduced, of at most L taps each.

@@ -114,7 +114,7 @@ def measure(alg: str, v, k: int):
     "jco_goertzel" reuse the last signal's cyclotomic stage at an order
     already reduced (see dftbin.algorithms), and each result keeps the
     counts of a stand-alone call. So M bins of one signal take less time
-    than M separate calls did, but the sum of their counts still charges
+    than M bins of M signals, but the sum of their counts still charges
     the shared stage M times.
     """
     module = ALGORITHMS.get(alg)
