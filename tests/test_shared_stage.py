@@ -74,7 +74,7 @@ def test_dtmf_bins_share_one_stage_per_order(stages):
 def test_dtmf_bins_in_sequence_equal_stand_alone_calls():
     for digit in "1D":
         check_in_sequence(synthesize(digit, noise_rms=0.1, seed=3), DTMF_BINS)
-    for kind, v in signals(205).items():
+    for v in signals(205).values():
         check_in_sequence(v, DTMF_BINS)
 
 
@@ -161,7 +161,7 @@ def test_a_new_signal_drops_the_old_one():
     measure("jco", b, 1)
     del a
     gc.collect()
-    assert not any(ref() is not None for ref in refs)
+    assert all(ref() is None for ref in refs)
     held, by_order = algorithms._STAGE_MEMO
     assert all(x is y for x, y in zip(held, b)) and len(held) == len(b)
     assert list(by_order) == [7]
