@@ -5,7 +5,9 @@ same counts and repr-equal values, on every kind of input: float, complex,
 small integers (real and complex, with cancellations), exact and signed
 zeros, complex-typed real samples (all of them, or some among floats),
 samples on both sides of reduce_by_pk's layout bound, and 1e308 samples
-whose registers overflow to inf and NaN.
+whose registers overflow to inf and NaN. reduce_by_pk is also checked with
+polynomial._PROMOTES patched false, so real signals take the 0j registers
+of an interpreter that does not promote a float operand to complex.
 
 Runs under pytest, or as a plain script on an interpreter without pytest:
 
@@ -16,7 +18,7 @@ import itertools
 import math
 import random
 
-from dftbin import algorithms
+from dftbin import algorithms, polynomial
 from dftbin.algorithms import BinSpec, OpRecorder, _cyclo_reduce
 from dftbin.complexity import ALGORITHMS, measure
 from dftbin.cyclotomic import cyclotomic
@@ -176,6 +178,21 @@ def test_reduce_by_pk_bulk_equals_per_op_small_n():
 
 
 def test_reduce_by_pk_bulk_equals_per_op_large_n():
+    for N in LARGE_N:
+        check_pk(N)
+
+
+def test_reduce_by_pk_zero_imag_registers_small_n(monkeypatch):
+    # An interpreter that does not promote a float operand of complex
+    # arithmetic (CPython 3.14) runs real signals on 0j registers; so does
+    # this one with _PROMOTES false, on every kind, form and Reinsch sign.
+    monkeypatch.setattr(polynomial, "_PROMOTES", False)
+    for N in SMALL_N:
+        check_pk(N)
+
+
+def test_reduce_by_pk_zero_imag_registers_large_n(monkeypatch):
+    monkeypatch.setattr(polynomial, "_PROMOTES", False)
     for N in LARGE_N:
         check_pk(N)
 
