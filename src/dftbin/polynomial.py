@@ -312,6 +312,7 @@ def reduce_by_pk(signal: list, A: float, counter,
       component as the pair computes it. Every other step runs through
       add and mul on complex registers rebuilt from the pairs, which
       keeps the signed zeros of complex arithmetic.
+
     The last sample is tested first: a nonzero imaginary part there picks
     the split layout at once. Only other data pay for sum(signal), which
     tells real-typed samples from complex-typed ones, and complex-typed
@@ -364,8 +365,7 @@ def reduce_by_pk(signal: list, A: float, counter,
                     slow += 1
                     s2, (s1, d) = s1, step(add, mul, x, s1, s2, d, A, lam, sign)
         elif type(s1) is complex:
-            # 1.0 * complex(x, -0.0) is complex(x, 0.0) where floats are
-            # promoted, as in add and mul, so 0j registers keep the product.
+            # 0j registers keep the product by +-1.0, as _pk_step does.
             sg = float(sign)
             for x in v:
                 m = s1 * lam
