@@ -38,11 +38,11 @@ most 2 in magnitude, so that nothing overflows) runs step by step on
 complex registers. Within the bound a full step's complex arithmetic
 equals the float arithmetic component by component, given CPython's
 promotion of a float operand to complex(x, 0.0) (3.10 to 3.13); its
-docstring gives the argument. Each layout runs one loop per form, and on
-float registers Reinsch's form has one loop per sign of A, with the sign
-written into its adds; a loop tests only its own form's zeros, counts only
-the steps that go through add and mul, and the call charges the rest in
-bulk.
+docstring gives the argument. Each layout runs one loop per form, and
+Reinsch's form with A > 0 on float registers has a loop of its own, with
+the sign written into its adds; a loop tests only its own form's zeros,
+counts only the steps that go through add and mul, and the call charges
+the rest in bulk.
 """
 
 import functools
@@ -318,15 +318,15 @@ def reduce_by_pk(signal: list, A: float, counter,
     tells real-typed samples from complex-typed ones, and complex-typed
     data also for the scan of their imaginary parts.
 
-    Each layout has one loop for the plain form and one for Reinsch's, and
-    a loop tests only the zeros of its form. On float registers Reinsch's
-    form has a loop per sign that writes the sign into its adds: t + d and
-    s1 + dn for A > 0, t - d and dn - s1 for A < 0. For floats that is
-    exact, zero signs included: 1.0*d is d, and x - y is x + (-y). On 0j
-    registers the loop keeps the product by +-1.0, as the per-op step does,
-    since a promoted 1.0 * complex(x, -0.0) is complex(x, 0.0). A loop
-    counts the steps that go through _pk_step; the other n - 1 - slow steps
-    are full, and are charged in bulk.
+    Each layout has a loop for the plain form and two for Reinsch's, and a
+    loop tests only the zeros of its form. With A > 0 on float registers,
+    Reinsch's loop writes the sign into its adds, t + d and s1 + dn, which
+    is exact since 1.0*d is d. The other Reinsch loop keeps the product by
+    +-1.0, as the per-op step does. It runs on 0j registers, where a
+    promoted 1.0 * complex(x, -0.0) is complex(x, 0.0), and for A < 0,
+    which Reinsch's form meets only near k = N/2. A loop counts the steps
+    that go through _pk_step; the other n - 1 - slow steps are full, and
+    are charged in bulk.
 
     On uniform input at N = 65537 (CPython 3.11, a 2-vCPU Xeon VM, best of
     7), a step costs about 95 ns per real sample in the plain form and 123
@@ -364,19 +364,8 @@ def reduce_by_pk(signal: list, A: float, counter,
                 else:
                     slow += 1
                     s2, (s1, d) = s1, step(add, mul, x, s1, s2, d, A, lam, sign)
-        elif type(s1) is complex:
-            # 0j registers keep the product by +-1.0, as _pk_step does.
-            sg = float(sign)
-            for x in v:
-                m = s1 * lam
-                t = x + m
-                dn = t + sg * d
-                if x and t and d and dn and s1 and (m or zero):
-                    s2, s1, d = s1, sg * s1 + dn, dn
-                else:
-                    slow += 1
-                    s2, (s1, d) = s1, step(add, mul, x, s1, s2, d, A, lam, sign)
-        elif sign > 0:
+        elif sign > 0 and type(s1) is float:
+            # The product by sign is written into the adds: 1.0*d is d.
             for x in v:
                 m = s1 * lam
                 t = x + m
@@ -387,12 +376,15 @@ def reduce_by_pk(signal: list, A: float, counter,
                     slow += 1
                     s2, (s1, d) = s1, step(add, mul, x, s1, s2, d, A, lam, sign)
         else:
+            # 0j registers keep the product by +-1.0, as _pk_step does; so
+            # does A < 0, which Reinsch's form meets only near k = N/2.
+            sg = float(sign)
             for x in v:
                 m = s1 * lam
                 t = x + m
-                dn = t - d
+                dn = t + sg * d
                 if x and t and d and dn and s1 and (m or zero):
-                    s2, s1, d = s1, dn - s1, dn
+                    s2, s1, d = s1, sg * s1 + dn, dn
                 else:
                     slow += 1
                     s2, (s1, d) = s1, step(add, mul, x, s1, s2, d, A, lam, sign)
@@ -429,15 +421,17 @@ def reduce_by_pk(signal: list, A: float, counter,
                                  complex(dr, di), A, lam, sign)
                     s2r, s2i, s1r, s1i, dr, di = s1r, s1i, s1.real, s1.imag, d.real, d.imag
         else:
+            # A < 0 keeps the product by -1.0.
+            sg = -1.0
             for z in v:
                 xr, xi = z.real, z.imag
                 mr, mi = s1r * lam, s1i * lam
                 tr, ti = xr + mr, xi + mi
-                dnr, dni = tr - dr, ti - di
+                dnr, dni = tr + sg * dr, ti + sg * di
                 if (xr and xi and tr and ti and dr and di and dnr and dni and s1r and s1i
                         and (mr and mi or zero)):
-                    s2r, s1r, dr = s1r, dnr - s1r, dnr
-                    s2i, s1i, di = s1i, dni - s1i, dni
+                    s2r, s1r, dr = s1r, sg * s1r + dnr, dnr
+                    s2i, s1i, di = s1i, sg * s1i + dni, dni
                 else:
                     slow += 1
                     s1, d = step(add, mul, z, complex(s1r, s1i), complex(s2r, s2i),

@@ -89,20 +89,30 @@ def _same(what, got, want, got_rec, want_rec):
 
 def check_pk(N) -> int:
     """reduce_by_pk at every bin of bins(N): the plain form, and Reinsch's
-    form with lam = A -+ 2 (lam = 0 at A = +-2), on every input kind."""
+    form with lam = A -+ 2 (lam = 0 at A = +-2), on every input kind, with
+    polynomial._PROMOTES as found and patched false. An interpreter that
+    does not promote a float operand of complex arithmetic (CPython 3.14)
+    runs real signals on 0j registers, as this one does with it false."""
     cases = 0
     data = signals(N)
-    for k in bins(N):
-        spec = BinSpec.for_bin(N, k)
-        A = spec.A
-        lam = A - math.copysign(2.0, A)
-        for kind, v in data.items():
-            for form in (None, lam):
-                got_rec, want_rec = OpRecorder(), OpRecorder()
-                got = reduce_by_pk(v, A, got_rec, form)
-                want = per_op_reduce_by_pk(v, A, want_rec, form)
-                _same(("pk", N, k, kind, form), got, want, got_rec, want_rec)
-                cases += 1
+    promotes = polynomial._PROMOTES
+    try:
+        for flag in {promotes, False}:
+            polynomial._PROMOTES = flag
+            for k in bins(N):
+                spec = BinSpec.for_bin(N, k)
+                A = spec.A
+                lam = A - math.copysign(2.0, A)
+                for kind, v in data.items():
+                    for form in (None, lam):
+                        got_rec, want_rec = OpRecorder(), OpRecorder()
+                        got = reduce_by_pk(v, A, got_rec, form)
+                        want = per_op_reduce_by_pk(v, A, want_rec, form)
+                        _same(("pk", N, k, kind, form, flag),
+                              got, want, got_rec, want_rec)
+                        cases += 1
+    finally:
+        polynomial._PROMOTES = promotes
     return cases
 
 
@@ -178,21 +188,6 @@ def test_reduce_by_pk_bulk_equals_per_op_small_n():
 
 
 def test_reduce_by_pk_bulk_equals_per_op_large_n():
-    for N in LARGE_N:
-        check_pk(N)
-
-
-def test_reduce_by_pk_zero_imag_registers_small_n(monkeypatch):
-    # An interpreter that does not promote a float operand of complex
-    # arithmetic (CPython 3.14) runs real signals on 0j registers; so does
-    # this one with _PROMOTES false, on every kind, form and Reinsch sign.
-    monkeypatch.setattr(polynomial, "_PROMOTES", False)
-    for N in SMALL_N:
-        check_pk(N)
-
-
-def test_reduce_by_pk_zero_imag_registers_large_n(monkeypatch):
-    monkeypatch.setattr(polynomial, "_PROMOTES", False)
     for N in LARGE_N:
         check_pk(N)
 
