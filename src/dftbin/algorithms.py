@@ -35,12 +35,13 @@ reaches is a multiple of Phi_L, so its remainder has the same value at W.
 Stages 1 and 2 always run (Phi_p is all ones, Phi_pq is flat by Lam and
 Leung 1996, and Phi_2m(x) = Phi_m(-x)), and so does stage 3 when 3 divides
 L (Bang 1895 bounds the taps of Phi_pqr by p - 1). stage_plan(L) memoises
-the moduli of the stages that run and D, the length of the remainder they
-leave: (L/r) * phi(r) for the last r that runs, phi(L) where every stage
-runs, as for every L < 385 and every L with at most two distinct odd
-primes. Stage i takes (L/r_i) * phi(r_{i-1}) steps of nnz(Phi_{r_i}) - 1
-adds each, so the cyclotomic stage costs N - L adds plus the sum of those
-over the stages that run; a prime-power L is a single reduction.
+the moduli of the stages that run, and remainder_length(L) gives D, the
+length of the remainder they leave: (L/r) * phi(r) for the last r that
+runs, phi(L) where every stage runs, as for every L < 385 and every L with
+at most two distinct odd primes. Stage i takes (L/r_i) * phi(r_{i-1})
+steps of nnz(Phi_{r_i}) - 1 adds each, so the cyclotomic stage costs
+N - L adds plus the sum of those over the stages that run; a prime-power
+L is a single reduction.
 
 Bins of one signal share its cyclotomic stage: the fold and the chain
 depend on the samples and on L, not on k. jco_bin and jco_goertzel_bin
@@ -89,10 +90,11 @@ operand and counts the same. This is the declared convention for every
 
 There is no tolerance: _const_cost charges what the float run does.
 _COST_CACHE memoises it for the kernels' constants (A, lam, integer taps).
-The evaluation stage reads W**m from _ROOT_TABLES instead: one table per N,
-whose slot r = k*m mod N holds root_power(N, r) and its _const_cost, filled
-the first time a bin of N visits r. A table holds at most N slots, shared
-by every bin of N, so a sweep of every bin of N keeps N roots, not N**2.
+The evaluation stage reads W**m from _root_table(N) instead: one table per
+N, whose slot r = k*m mod N holds root_power(N, r) and its _const_cost,
+filled the first time a bin of N visits r. A table holds at most N slots,
+shared by every bin of N, so a sweep of every bin of N keeps N roots, not
+N**2; only the 64 lengths used last keep their tables.
 A slot is one entry in each of two lists, 16 bytes on a 64-bit CPython,
 plus a 32-byte complex once filled; its cost is a small int, which CPython
 shares. The root stays a complex: on complex data the stage multiplies by
@@ -127,7 +129,6 @@ __all__ = [
     "REINSCH_MIN_A",
     "BinSpec",
     "BinResult",
-    "StagePlan",
     "remainder_length",
     "stage_plan",
     "root_power",
@@ -153,8 +154,6 @@ def _const_cost(c) -> int:
 
 
 _COST_CACHE: dict[complex, int] = {}
-# N -> (roots, costs) of _eval_remainder, see "Cost policy" above.
-_ROOT_TABLES: dict[int, tuple[list, list]] = {}
 # The last signal _cyclo_stage reduced, as (tuple of its samples,
 # {L: (R, mults, adds)}), or None; see the shared stage above.
 _STAGE_MEMO = None
@@ -276,16 +275,12 @@ def remainder_length(L: int) -> int:
     return L // r * totient(r)
 
 
-StagePlan = namedtuple("StagePlan", "D moduli")
-StagePlan.__doc__ = """The chain stages that run at one order L: moduli
-holds, per stage, the dense dilated modulus Phi_{r_i}(x**(L/r_i)) as a
-tuple, the key under which reduce_by_intpoly memoises its split into taps,
-and D is remainder_length(L)."""
-
-
 @functools.lru_cache(maxsize=64)
-def stage_plan(L: int) -> StagePlan:
-    """The memoised StagePlan of order L (the 64 orders used last)."""
+def stage_plan(L: int) -> tuple[tuple[int, ...], ...]:
+    """The moduli of the chain stages that run at order L, memoised for the
+    64 orders used last: per stage, the dense dilated modulus
+    Phi_{r_i}(x**(L/r_i)) as a tuple, the key under which
+    reduce_by_intpoly memoises its split into taps."""
     moduli = []
     for r in _chain_orders(L):
         stride = L // r
@@ -293,7 +288,7 @@ def stage_plan(L: int) -> StagePlan:
         modulus = [0] * (stride * (len(phi_r) - 1) + 1)
         modulus[::stride] = phi_r
         moduli.append(tuple(modulus))
-    return StagePlan(remainder_length(L), tuple(moduli))
+    return tuple(moduli)
 
 
 def _cyclo_reduce(v, spec: BinSpec, rec: OpRecorder) -> list:
@@ -302,7 +297,7 @@ def _cyclo_reduce(v, spec: BinSpec, rec: OpRecorder) -> list:
     # reduce_by_intpoly and cyclotomic by this module's names, so they are
     # called as globals here.
     R = fold(v, spec.L, rec)
-    for modulus in stage_plan(spec.L).moduli:
+    for modulus in stage_plan(spec.L):
         R = reduce_by_intpoly(R, modulus, rec)
     return R
 
@@ -327,6 +322,13 @@ def _cyclo_stage(v, spec: BinSpec, rec: OpRecorder) -> tuple:
     return entry[0]
 
 
+@functools.lru_cache(maxsize=64)
+def _root_table(N: int) -> tuple[list, list]:
+    # The (roots, costs) of _eval_remainder at length N, filled as bins of
+    # N visit them; see "Cost policy" above.
+    return [None] * N, [0] * N
+
+
 def _eval_remainder(R, spec: BinSpec, rec: OpRecorder) -> complex:
     # Sum of R[m] * W**m, W**m = root_power(N, k*m mod N) from N's root
     # table. Each nonzero real tap past the constant costs at most 2 real
@@ -341,10 +343,7 @@ def _eval_remainder(R, spec: BinSpec, rec: OpRecorder) -> complex:
     # other tap runs on the complex values rebuilt, as on complex data.
     # R[0] is tested first because summing complex taps is the slow scan.
     N, k = spec.N, spec.k
-    table = _ROOT_TABLES.get(N)
-    if table is None:
-        table = _ROOT_TABLES[N] = ([None] * N, [0] * N)
-    roots, costs = table
+    roots, costs = _root_table(N)
     acc = complex(R[0])
     mults = adds = r = 0
     if not isinstance(R[0], complex) and not isinstance(sum(R), complex):

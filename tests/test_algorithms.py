@@ -9,8 +9,8 @@ from fractions import Fraction
 from dftbin import algorithms
 from dftbin.algorithms import (REINSCH_MIN_A, TRIVIAL_A_ORDERS, BinSpec,
                                OpRecorder, _cyclo_reduce, _eval_remainder,
-                               goertzel_bin, jco_bin, jco_goertzel_bin, naive_bin, root_power,
-                               stage_plan)
+                               goertzel_bin, jco_bin, jco_goertzel_bin, naive_bin,
+                               remainder_length, root_power, stage_plan)
 from dftbin.complexity import measure, nominal_costs
 from dftbin.cyclotomic import cyclotomic
 from dftbin.dtmf import DEFAULT_CONFIG
@@ -64,14 +64,21 @@ def test_root_table_bounds_the_evaluation_memory():
         assert not any(isinstance(c, complex) for c in set(algorithms._COST_CACHE) - before), N
     # Every bin of one N shares one table of at most N slots; naive
     # summation at k = 1 visits all of them.
-    before = set(algorithms._ROOT_TABLES)
+    before = algorithms._root_table.cache_info().misses
     v = _rand_real(rng, 1155)
     for k in range(1155):
         naive_bin(v, k)
-    assert set(algorithms._ROOT_TABLES) - before <= {1155}
-    roots, costs = algorithms._ROOT_TABLES[1155]
+    assert algorithms._root_table.cache_info().misses - before <= 1
+    roots, costs = algorithms._root_table(1155)
     assert len(roots) == len(costs) == 1155
     assert roots == [root_power(1155, r) for r in range(1155)]
+    # Only the 64 lengths used last keep a table: one bin at each of 100
+    # new lengths leaves 64.
+    before = algorithms._root_table.cache_info().misses
+    for N in range(9001, 9101):
+        goertzel_bin(_rand_real(rng, N), 1)
+    assert algorithms._root_table.cache_info().misses - before == 100
+    assert algorithms._root_table.cache_info().currsize == 64
 
 
 def test_bin_spec_invariants():
@@ -339,7 +346,7 @@ def test_chain_matches_single_reduction_and_costs_no_more():
         for v in (_rand_real(rng, L), _rand_complex(rng, L)):
             R, counts = _chain(v, L)
             ref, ref_counts = single_cyclo_reduce(v, L)
-            assert len(R) == len(ref) == stage_plan(L).D
+            assert len(R) == len(ref) == remainder_length(L)
             rms = math.sqrt(sum(abs(c) ** 2 for c in ref) / len(ref))
             assert max(abs(a - b) for a, b in zip(R, ref)) <= 1e-12 * rms, L
             assert counts.real_mults <= ref_counts.real_mults, L
@@ -362,28 +369,28 @@ def test_chain_close_to_exact_remainder(L):
 def test_stage_plan_stops_at_first_tap_above_2():
     # oracles.chain_moduli derives the stop from the taps of each Phi_r.
     for L in range(1, 2500):
-        plan = stage_plan(L)
         moduli = chain_moduli(L)
-        assert [list(m) for m in plan.moduli] == moduli, L
-        assert plan.D == (len(moduli[-1]) - 1 if moduli else 1), L
+        assert [list(m) for m in stage_plan(L)] == moduli, L
+        D = remainder_length(L)
+        assert D == (len(moduli[-1]) - 1 if moduli else 1), L
         # The chain stops early exactly where Phi_L itself has a tap above 2.
         stops = len(moduli) < len(factorize(L))
         assert stops == (max(map(abs, cyclotomic(L))) > 2) == (L in ORDERS_WITH_TAP_ABOVE_2), L
         if not stops:
-            assert plan.D == totient(L), L
+            assert D == totient(L), L
         else:
-            assert plan.D > totient(L), L
+            assert D > totient(L), L
 
 
 def test_stage_plan_moduli_are_shared_and_unchanged():
     # A warm call reuses the plan's moduli, and no kernel writes into them.
     rng = random.Random(36)
     plan = stage_plan(1155)
-    before = [list(m) for m in plan.moduli]
+    before = [list(m) for m in plan]
     for tag in ("jco", "jco_goertzel", "stream"):
         measure(tag, _rand_complex(rng, 2310), 2)
     assert stage_plan(1155) is plan
-    assert [list(m) for m in plan.moduli] == before
+    assert [list(m) for m in plan] == before
 
 
 @pytest.mark.parametrize("N,k", [(205, 18), (1155, 1), (12012, 7), (2310, 1)])

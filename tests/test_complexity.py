@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from dftbin.algorithms import stage_plan
+from dftbin.algorithms import remainder_length
 from dftbin.complexity import (CSV_HEADER, OpRecorder, REFERENCE_TABLE_SPECS,
                                complexity_table, format_csv, format_table,
                                measure, nominal_costs)
@@ -207,7 +207,7 @@ def test_jco_goertzel_dominates_goertzel_past_tap_3():
     # 720 to goertzel's 665.
     rng = random.Random(45)
     for L in ORDERS_WITH_TAP_ABOVE_2:
-        D = stage_plan(L).D
+        D = remainder_length(L)
         assert D > totient(L), L
         v = [rng.uniform(-1, 1) for _ in range(L)]
         g, j, jg = nominal_costs(L, 1)
