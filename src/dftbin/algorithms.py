@@ -89,16 +89,17 @@ operand and counts the same. This is the declared convention for every
 "measured adds" figure produced by this package.
 
 There is no tolerance: _const_cost charges what the float run does.
-_COST_CACHE memoises it for the kernels' constants (A, lam, integer taps).
-The evaluation stage reads W**m from _root_table(N) instead: one table per
-N, whose slot r = k*m mod N holds root_power(N, r) and its _const_cost,
-filled the first time a bin of N visits r. A table holds at most N slots,
-shared by every bin of N, so a sweep of every bin of N keeps N roots, not
-N**2; only the 64 lengths used last keep their tables.
-A slot is one entry in each of two lists, 16 bytes on a 64-bit CPython,
-plus a 32-byte complex once filled; its cost is a small int, which CPython
-shares. The root stays a complex: on complex data the stage multiplies by
-it as it is, and on real data it reads its two components.
+_cost memoises it for the kernels' constants (A, lam, integer taps).
+The evaluation stage reads W**m from _root_table(N, L) instead: one table
+of L slots per length N and order L, whose slot j = (k/g)*m mod L,
+g = N/L, holds root_power(N, g*j) and its _const_cost once a bin visits
+it; a sweep of every bin of N keeps under 4.6 N roots below N = 10**6.
+A slot is two list entries, 16 bytes on a 64-bit CPython, plus a 32-byte
+complex once filled. The root stays a complex: on complex data the stage
+multiplies by it as it is, and on real data it reads its two components.
+Like every memo of a polynomial, modulus, split or root table, these keep
+only the 64 keys used last; factorize, totient and _chain_orders stay
+unbounded, since an entry is a few ints.
 root_power returns every multiple of an eighth turn exactly and A is an
 integer on TRIVIAL_A_ORDERS, so below N of about 5.96e8 the bin's constants
 are charged on L: A and lam cost 1, and W costs 2, 1 at L = 8 and nothing at
@@ -153,7 +154,7 @@ def _const_cost(c) -> int:
     return (a not in TRIVIAL_MAGNITUDES) + (b not in TRIVIAL_MAGNITUDES and b != a)
 
 
-_COST_CACHE: dict[complex, int] = {}
+_cost = functools.lru_cache(maxsize=64)(_const_cost)
 # The last signal _cyclo_stage reduced, as (tuple of its samples,
 # {L: (R, mults, adds)}), or None; see the shared stage above.
 _STAGE_MEMO = None
@@ -176,9 +177,7 @@ class OpRecorder:
         """value * const, charging the per-constant cost (doubled for complex data)."""
         if value == 0:
             return value * const
-        cost = _COST_CACHE.get(const)
-        if cost is None:
-            cost = _COST_CACHE[const] = _const_cost(complex(const))
+        cost = _cost(const)
         if cost:
             self.mults += cost if value.imag == 0 else 2 * cost
         return value * const
@@ -187,9 +186,7 @@ class OpRecorder:
         """Charge `steps` kernel steps that have no zero operand at once: each
         makes `adds` adds and multiplies a value of `width` nonzero
         components (1 real, 2 complex) by const, charged as mul() would."""
-        cost = _COST_CACHE.get(const)
-        if cost is None:
-            cost = _COST_CACHE[const] = _const_cost(complex(const))
+        cost = _cost(const)
         self.mults += steps * width * cost
         self.adds += steps * adds
 
@@ -323,15 +320,15 @@ def _cyclo_stage(v, spec: BinSpec, rec: OpRecorder) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def _root_table(N: int) -> tuple[list, list]:
-    # The (roots, costs) of _eval_remainder at length N, filled as bins of
-    # N visit them; see "Cost policy" above.
-    return [None] * N, [0] * N
+def _root_table(N: int, L: int) -> tuple[list, list]:
+    # The (roots, costs) of _eval_remainder for the bins of order L at
+    # length N, filled as they visit them; see "Cost policy" above.
+    return [None] * L, [0] * L
 
 
 def _eval_remainder(R, spec: BinSpec, rec: OpRecorder) -> complex:
-    # Sum of R[m] * W**m, W**m = root_power(N, k*m mod N) from N's root
-    # table. Each nonzero real tap past the constant costs at most 2 real
+    # Sum of R[m] * W**m from the root table of (N, L); see "Cost policy".
+    # Each nonzero real tap past the constant costs at most 2 real
     # multiplications, matching the classic per-tap accounting. The counts
     # are mul's and add's, tallied inline and charged once: a product costs
     # the root's cost for real c and twice that for complex c; an add whose
@@ -342,21 +339,22 @@ def _eval_remainder(R, spec: BinSpec, rec: OpRecorder) -> complex:
     # nonzero components), so the float adds are the complex add's. Any
     # other tap runs on the complex values rebuilt, as on complex data.
     # R[0] is tested first because summing complex taps is the slow scan.
-    N, k = spec.N, spec.k
-    roots, costs = _root_table(N)
+    N, L = spec.N, spec.L
+    g, step = N // L, spec.k * L // N
+    roots, costs = _root_table(N, L)
     acc = complex(R[0])
     mults = adds = r = 0
     if not isinstance(R[0], complex) and not isinstance(sum(R), complex):
         ar, ai = acc.real, acc.imag
         for c in islice(R, 1, None):
-            r += k
-            if r >= N:
-                r -= N
+            r += step
+            if r >= L:
+                r -= L
             if c == 0:
                 continue
             w = roots[r]
             if w is None:
-                w = roots[r] = root_power(N, r)
+                w = roots[r] = root_power(N, r * g)
                 costs[r] = _const_cost(w)
             mults += costs[r]
             pr, pi = c * w.real, c * w.imag
@@ -370,14 +368,14 @@ def _eval_remainder(R, spec: BinSpec, rec: OpRecorder) -> complex:
         acc = complex(ar, ai)
     else:
         for c in islice(R, 1, None):
-            r += k
-            if r >= N:
-                r -= N
+            r += step
+            if r >= L:
+                r -= L
             if c == 0:
                 continue
             w = roots[r]
             if w is None:
-                w = roots[r] = root_power(N, r)
+                w = roots[r] = root_power(N, r * g)
                 costs[r] = _const_cost(w)
             cost = costs[r]
             if cost:

@@ -56,29 +56,35 @@ def test_const_cost_independent_of_process_history():
 
 def test_root_table_bounds_the_evaluation_memory():
     # The constants memo gains no twiddle (a complex root), only kernel
-    # constants such as the chain's taps.
+    # constants such as the chain's taps: a jco bin adds a handful of misses,
+    # not one per root of its table.
     rng = random.Random(27)
     for N in (4096, 4097):
-        before = set(algorithms._COST_CACHE)
+        before = algorithms._cost.cache_info().misses
         jco_bin(_rand_real(rng, N), 1)
-        assert not any(isinstance(c, complex) for c in set(algorithms._COST_CACHE) - before), N
-    # Every bin of one N shares one table of at most N slots; naive
-    # summation at k = 1 visits all of them.
+        assert algorithms._cost.cache_info().misses - before < 8, N
+    # Every bin of order L at one N shares one table of L slots; naive
+    # summation of every bin of 1155 fills one table per divisor.
     before = algorithms._root_table.cache_info().misses
     v = _rand_real(rng, 1155)
     for k in range(1155):
         naive_bin(v, k)
-    assert algorithms._root_table.cache_info().misses - before <= 1
-    roots, costs = algorithms._root_table(1155)
+    assert algorithms._root_table.cache_info().misses - before <= 16
+    roots, costs = algorithms._root_table(1155, 1155)
     assert len(roots) == len(costs) == 1155
-    assert roots == [root_power(1155, r) for r in range(1155)]
-    # Only the 64 lengths used last keep a table: one bin at each of 100
-    # new lengths leaves 64.
+    # No bin of order 1155 visits slot 0: its tap m = 0 is the constant.
+    assert roots[1:] == [root_power(1155, r) for r in range(1, 1155)]
+    roots, costs = algorithms._root_table(1155, 7)
+    assert len(roots) == len(costs) == 7
+    assert roots[1:] == [root_power(1155, 165 * j) for j in range(1, 7)]
+    # Only the 64 tables used last stay: one bin at each of 100 new lengths
+    # leaves 64, and so many kernel constants leave 64 costs.
     before = algorithms._root_table.cache_info().misses
     for N in range(9001, 9101):
         goertzel_bin(_rand_real(rng, N), 1)
     assert algorithms._root_table.cache_info().misses - before == 100
     assert algorithms._root_table.cache_info().currsize == 64
+    assert algorithms._cost.cache_info().currsize <= 64
 
 
 def test_bin_spec_invariants():

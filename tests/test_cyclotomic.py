@@ -1,11 +1,12 @@
 import math
+import random
 
 import pytest
 
-from dftbin.cyclotomic import cyclotomic, is_ternary
+from dftbin.algorithms import jco_bin, root_power
+from dftbin.cyclotomic import _build, cyclotomic, is_ternary
 from dftbin.numtheory import bin_order, divisors, totient
 from dftbin.polynomial import int_mul
-from dftbin.algorithms import root_power
 from oracles import cyclotomic_kronecker, eval_poly
 
 
@@ -25,6 +26,20 @@ def test_returns_fresh_list():
     a = cyclotomic(8)
     a[0] = 99
     assert cyclotomic(8) == [1, 0, 0, 0, 1]
+
+
+def test_memo_holds_the_64_orders_used_last():
+    # One jco bin at each of 70 lengths builds Phi_N for each; the memo keeps
+    # 64 of them, and an evicted order is built again, to the same taps.
+    rng = random.Random(5)
+    jco_bin([rng.uniform(-1, 1) for _ in range(3001)], 1)
+    first = cyclotomic(3001)
+    for N in range(3002, 3071):
+        jco_bin([rng.uniform(-1, 1) for _ in range(N)], 1)
+    assert _build.cache_info().currsize <= 64
+    misses = _build.cache_info().misses
+    assert cyclotomic(3001) == first
+    assert _build.cache_info().misses == misses + 1
 
 
 def test_divisor_product_small():
