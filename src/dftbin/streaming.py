@@ -6,10 +6,13 @@ for the first L samples) with no multiplication, whatever the taps of
 Phi_L. This is the autoregressive filter 1/(1 - z**-L). Since x**L - 1 is
 the product of Phi_d over d | L, it is a multiple of the paper's feedback
 polynomial Phi_L, and the folded sum has the signal's remainder modulo
-Phi_L. finalize then runs the tail of the block "jco" algorithm on the L
-slots: the chain of sparse cyclotomic factors and the evaluation at W. The
-slots are the sums jco's fold forms, added in the same order, so the value
-and counts of "stream" are jco's, bit for bit.
+Phi_L. push does its add inline and tallies it on the state, with no call
+on the state's recorder. finalize charges the tally to the recorder once,
+then runs the tail of the block "jco" algorithm on the L slots: the chain
+of sparse cyclotomic factors and the evaluation at W. So state.rec shows
+no adds from pushes until finalize. The slots are the sums jco's fold
+forms, added in the same order, and the tally follows OpRecorder.add's
+rule, so the value and counts of "stream" are jco's, bit for bit.
 
 design_filter still designs the paper's filter form, which `dftbin filter`
 exports: the integer feedback taps of Phi_L and totient(L) numerator taps.
@@ -23,7 +26,7 @@ algorithms.BinSpec.for_bin, which validates (N, k).
 
 from collections import namedtuple
 
-from . import algorithms
+from . import algorithms, polynomial
 from .algorithms import BinResult, BinSpec, OpRecorder, root_power
 from .cyclotomic import cyclotomic
 # bin_order is unused here, but perfbench/layers.py wraps it by this name.
@@ -75,18 +78,21 @@ class FilterState:
     with n mod L = i, and None before the first of them. (A growing list
     reallocates at a few sizes, and those pushes took as long as glibc's
     realloc did.) w is a copy of the filled part: one slot per push over
-    the first L samples, then all L. finalized is set by finalize, after
-    which the state takes no more pushes. N and L are copied from spec,
-    because push reads them per sample and a slot reads faster than a
-    named tuple's field.
+    the first L samples, then all L. adds is the pushes' tally of real
+    adds, counted as OpRecorder.add would; finalize charges it to rec, so
+    rec shows none of them before then, and push reads and writes nothing
+    on rec. finalized is set by finalize, after which the state takes no
+    more pushes. N and L are copied from spec, because push reads them per
+    sample and a slot reads faster than a named tuple's field.
     """
 
-    __slots__ = ("spec", "N", "L", "slots", "samples_consumed", "rec", "finalized")
+    __slots__ = ("spec", "N", "L", "slots", "samples_consumed", "adds", "rec",
+                 "finalized")
 
     def __init__(self, spec: FilterSpec):
         self.spec, self.N, self.L = spec, spec.N, spec.L
         self.slots = [None] * spec.L
-        self.samples_consumed = 0
+        self.samples_consumed = self.adds = 0
         self.rec = OpRecorder()
         self.finalized = False
 
@@ -120,7 +126,9 @@ def new_state(spec: FilterSpec) -> FilterState:
 
 def push(state: FilterState, sample) -> FilterState:
     """Feed one sample (arrival order) into slot n mod L: a store for the
-    first L samples, then one add each. No multiplications."""
+    first L samples, then one add each, tallied in state.adds as
+    OpRecorder.add counts it (a pair of components counts when both are
+    nonzero, NaN included). No multiplications and no recorder call."""
     n, N, L = state.samples_consumed, state.N, state.L
     if n >= N:
         raise ValueError("filter already finalized" if state.finalized
@@ -130,7 +138,15 @@ def push(state: FilterState, sample) -> FilterState:
         w[n] = sample
     else:
         i = n % L
-        w[i] = state.rec.add(w[i], sample)
+        s = w[i]
+        w[i] = s + sample
+        if type(s) is float and type(sample) is float:
+            if s and sample:
+                state.adds += 1
+        elif s.real and sample.real:
+            state.adds += 2 if s.imag and sample.imag else 1
+        elif s.imag and sample.imag:
+            state.adds += 1
     state.samples_consumed = n + 1
     return state
 
@@ -142,8 +158,9 @@ def finalize(state: FilterState, spec: FilterSpec) -> BinResult:
     The bin is read from state.spec; the spec argument must be state.spec
     or equal to it, else ValueError. Requires exactly N pushed samples, and
     a state finalizes once; returns the bin value with the counts
-    accumulated over the whole run. The two stages are called as attributes
-    of dftbin.algorithms, where perfbench/layers.py wraps them.
+    accumulated over the whole run: the pushes' tally is charged to
+    state.rec first, in one bulk charge. The two stages are called as
+    attributes of dftbin.algorithms, where perfbench/layers.py wraps them.
     """
     if spec != state.spec:
         raise ValueError(f"spec is not the state's (N={state.spec.N}, k={state.spec.k})")
@@ -155,6 +172,7 @@ def finalize(state: FilterState, spec: FilterSpec) -> BinResult:
         raise ValueError(f"finalize needs exactly {spec.N} samples, got {n}")
     state.finalized = True
     bin_spec, rec = BinSpec.for_bin(spec.N, spec.k), state.rec
+    polynomial._charge(rec, state.adds, 1)
     R = algorithms._cyclo_reduce(state.slots, bin_spec, rec)
     return BinResult(algorithms._eval_remainder(R, bin_spec, rec), rec.counts(), "stream")
 

@@ -3,8 +3,9 @@
 These deliberately avoid the library's reduction kernels: plain long
 division, plain products, plain DFT sums. The exceptions are earlier, simpler
 forms of a library stage kept as references for the faster one that replaced
-them (dense_stream, single_cyclo_reduce, and the per-op kernels and evaluation
-stage, which charge every operation through the counter's add and mul).
+them (dense_stream, single_cyclo_reduce, and the per-op push, kernels and
+evaluation stage, which charge every operation through the counter's add and
+mul).
 """
 
 import cmath
@@ -233,6 +234,17 @@ def per_op_fold(signal, L, counter):
     for start in range(L, len(signal), L):
         R = [counter.add(a, b) for a, b in zip(R, signal[start:start + L])]
     return R
+
+
+def per_op_push(state, sample):
+    """streaming.push with its add through state.rec.add, so the recorder
+    holds the pushes' adds as they happen and state.adds stays 0."""
+    n, L = state.samples_consumed, state.L
+    if n < L:
+        state.slots[n] = sample
+    else:
+        state.slots[n % L] = state.rec.add(state.slots[n % L], sample)
+    state.samples_consumed = n + 1
 
 
 def per_op_reduce_by_intpoly(signal, modulus, counter):

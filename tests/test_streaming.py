@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import numpy
 import pytest
 
 from dftbin.algorithms import jco_bin, naive_bin
@@ -9,7 +10,7 @@ from dftbin.complexity import measure
 from dftbin.cyclotomic import cyclotomic
 from dftbin.numtheory import totient
 from dftbin.streaming import design_filter, finalize, new_state, push
-from oracles import dense_stream, first_order_reference, numerator_product
+from oracles import dense_stream, first_order_reference, numerator_product, per_op_push
 
 SQ2 = math.sqrt(2.0)
 
@@ -224,8 +225,78 @@ def test_push_is_one_add_per_sample_after_the_first_L():
         state = new_state(spec)
         for sample in _rand_real(rng, N):
             push(state, sample)
-        assert (state.rec.mults, state.rec.adds) == (0, N - spec.L), (N, k)
+        assert (state.rec.mults, state.adds) == (0, N - spec.L), (N, k)
         assert len(state.w) == spec.L
+
+
+def _tally_signal(case, N):
+    # Every other sample is special, and L is odd or N/L is even at the bins
+    # below, so the specials meet each other as well as ordinary samples.
+    rng = random.Random(59)
+    nan, inf = float("nan"), float("inf")
+    if case == "real":
+        specials = [0.0, -0.0, nan, inf, -inf, 0, 3, 1e308]
+        plain = _rand_real(rng, N)
+    elif case == "int":
+        return [rng.randrange(-2, 3) for _ in range(N)]
+    elif case == "numpy":
+        return [numpy.float64(x) if n % 3 else numpy.float64(-0.0 if n % 2 else 0.0)
+                for n, x in enumerate(_rand_real(rng, N))]
+    else:
+        y = rng.uniform(-1, 1)
+        specials = [0j, complex(0.0, y), complex(y, 0.0), complex(-0.0, y),
+                    complex(y, -0.0), 0.0, nan, complex(inf, 0.0)]
+        plain = _rand_complex(rng, N)
+        if case == "turns_complex":
+            plain[:N // 2] = _rand_real(rng, N // 2)
+    return [specials[n // 2 % len(specials)] if n % 2 == 0 else x
+            for n, x in enumerate(plain)]
+
+
+@pytest.mark.parametrize("N, k", [(60, 4), (48, 6)])
+@pytest.mark.parametrize("case", ["real", "int", "complex", "turns_complex", "numpy"])
+def test_push_tally_matches_per_op_push(case, N, k):
+    v = _tally_signal(case, N)
+    spec = design_filter(N, k)
+    got, want = new_state(spec), new_state(spec)
+    for sample in v:
+        push(got, sample)
+        per_op_push(want, sample)
+    assert [repr(s) for s in got.slots] == [repr(s) for s in want.slots]
+    assert (got.rec.mults, got.rec.adds, got.adds) == (0, 0, want.rec.adds)
+    assert want.adds == 0
+    got, want = finalize(got, spec), finalize(want, spec)
+    assert (repr(got.value), got.counts) == (repr(want.value), want.counts)
+    got, want = measure("stream", v, k), jco_bin(v, k)
+    assert (repr(got.value), got.counts) == (repr(want.value), want.counts)
+
+
+class _AddMulCounter:
+    # Like perfbench's PlainArithmetic: an add and a mul, and no count slots.
+    __slots__ = ("calls",)
+
+    def __init__(self):
+        self.calls = 0
+
+    def add(self, x, y):
+        self.calls += 1
+        return x + y
+
+    def mul(self, x, c):
+        self.calls += 1
+        return x * c
+
+
+def test_push_never_touches_the_recorder():
+    rng = random.Random(61)
+    for N, k, v in ((1155, 1, _rand_real(rng, 1155)), (256, 32, _rand_complex(rng, 256))):
+        spec = design_filter(N, k)
+        plain, recorded = new_state(spec), new_state(spec)
+        plain.rec = _AddMulCounter()
+        for sample in v:
+            push(plain, sample)
+            push(recorded, sample)
+        assert plain.w == recorded.w and plain.rec.calls == 0, (N, k)
 
 
 def test_streaming_large_length():
