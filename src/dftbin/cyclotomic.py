@@ -1,41 +1,55 @@
 """Exact construction of cyclotomic polynomials over the integers.
 
-Phi_n is built by Mobius inversion over the divisors of n: multiply the
-binomials (x**d - 1) whose divisor carries a +1 Mobius weight, then exact-
-divide by the ones carrying -1. All multiplications run before all divisions
-so every intermediate stays divisible; floating point never enters.
+For n > 1, Phi_n(x) = prod over d | n of (1 - x**d)**mu(n/d) (the signs of
+x**d - 1 cancel, since the mu(n/d) sum to 0). Phi_n is palindromic, so only
+its power series up to degree phi(n)/2 is built, after Arnold and Monagan
+(Math. Comp. 80, 2011): a factor with mu = +1 subtracts from each coefficient
+the one d places below, one with mu = -1 adds it, ascending. The upper half
+is the mirror. That is O(d(n) phi(n)/2) additions of Python ints; floating
+point never enters. Results are memoised for the 64 orders used last.
 
-Results are memoised for the 64 orders used last.
+The dense helpers int_mul and int_exact_div built Phi_n before; they stay
+imported only because perfbench/layers.py wraps them by these names.
 """
 
 import functools
 
-from .numtheory import divisors, mobius, totient
-from .polynomial import int_exact_div, int_mul
+from .numtheory import _integer, divisors, mobius, totient
+# int_mul and int_exact_div are unused here, but perfbench/layers.py wraps them
+# by these names.
+from .polynomial import int_exact_div, int_mul  # noqa: F401
 
 __all__ = ["cyclotomic", "is_ternary"]
 
 
 @functools.lru_cache(maxsize=64)
 def _build(n: int) -> tuple[int, ...]:
-    num = [1]
-    dens = []
-    for d in divisors(n):
+    phi = totient(n)
+    if n == 1:
+        return (-1, 1)
+    half = phi // 2
+    a = [1] + [0] * half
+    ds = divisors(n)
+    for d in ds:
+        if d > half:
+            break
         mu = mobius(n // d)
-        binomial = [-1] + [0] * (d - 1) + [1]  # x**d - 1
         if mu == 1:
-            num = int_mul(num, binomial)
+            a[d:] = [x - y for x, y in zip(a[d:], a)]
         elif mu == -1:
-            dens.append(binomial)
-    for den in dens:
-        num = int_exact_div(num, den)
-    if len(num) - 1 != totient(n) or num[-1] != 1:
+            for i in range(d, half + 1):
+                a[i] += a[i - d]
+    a += a[:phi - half][::-1]
+    # Phi_n(1) is p for n = p**e and 1 for n with two or more distinct primes.
+    p = ds[1]
+    if sum(a) != (p if p ** (len(ds) - 1) == n else 1):
         raise ArithmeticError(f"cyclotomic construction failed for n={n}")
-    return tuple(num)
+    return tuple(a)
 
 
 def cyclotomic(n: int) -> list[int]:
     """Coefficients of Phi_n, ascending degree. Monic, degree totient(n)."""
+    n = _integer(n, "cyclotomic order")
     if n < 1:
         raise ValueError(f"cyclotomic expects n >= 1, got {n}")
     return list(_build(n))

@@ -3,8 +3,8 @@
 These deliberately avoid the library's reduction kernels: plain long
 division, plain products, plain DFT sums. The exceptions are earlier, simpler
 forms of a library stage kept as references for the faster one that replaced
-them (dense_stream, single_cyclo_reduce, and the per-op push, kernels and
-evaluation stage, which charge every operation through the counter's add and
+them (cyclotomic_dense, dense_stream, single_cyclo_reduce, and the per-op
+push, kernels and evaluation stage, which charge every operation through the counter's add and
 mul).
 """
 
@@ -14,7 +14,7 @@ import math
 from dftbin.algorithms import root_power
 from dftbin.complexity import OpRecorder
 from dftbin.cyclotomic import cyclotomic
-from dftbin.polynomial import reduce_by_intpoly
+from dftbin.polynomial import int_exact_div, int_mul, reduce_by_intpoly
 
 
 def poly_mul(a, b):
@@ -165,6 +165,29 @@ def _mobius(n):
             sign = -sign
         p += 1
     return -sign if n > 1 else sign
+
+
+def cyclotomic_dense(n):
+    """Coefficients of Phi_n (ascending) by dense Mobius inversion.
+
+    Multiplies every (x**d - 1) whose divisor carries mu(n/d) = +1, then
+    exact-divides by the ones carrying -1, so every intermediate stays
+    divisible. Its intermediates reach about sigma(n)/2 coefficients.
+    """
+    num = [1]
+    dens = []
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        mu = _mobius(n // d)
+        binomial = [-1] + [0] * (d - 1) + [1]  # x**d - 1
+        if mu == 1:
+            num = int_mul(num, binomial)
+        elif mu == -1:
+            dens.append(binomial)
+    for den in dens:
+        num = int_exact_div(num, den)
+    return num
 
 
 def cyclotomic_kronecker(n):

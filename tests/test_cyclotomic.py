@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 
@@ -5,9 +6,13 @@ import pytest
 
 from dftbin.algorithms import jco_bin, root_power
 from dftbin.cyclotomic import _build, cyclotomic, is_ternary
-from dftbin.numtheory import bin_order, divisors, totient
+from dftbin.numtheory import bin_order, divisors, mobius, totient
 from dftbin.polynomial import int_mul
-from oracles import cyclotomic_kronecker, eval_poly
+from oracles import cyclotomic_dense, cyclotomic_kronecker, eval_poly
+
+# The package re-exports the function cyclotomic as dftbin.cyclotomic, so the
+# module is looked up by its import name.
+cyclotomic_module = importlib.import_module("dftbin.cyclotomic")
 
 
 def test_examples():
@@ -20,6 +25,17 @@ def test_examples():
 def test_rejects_nonpositive():
     with pytest.raises(ValueError):
         cyclotomic(0)
+
+
+@pytest.mark.parametrize("n", [2.5, "5", 4.0, None])
+def test_rejects_non_integral_order(n):
+    # 4.0 is rejected rather than built and memoised under the key 4.0.
+    currsize = _build.cache_info().currsize
+    with pytest.raises(ValueError, match="must be an integer"):
+        cyclotomic(n)
+    with pytest.raises(ValueError, match="must be an integer"):
+        is_ternary(n)
+    assert _build.cache_info().currsize == currsize
 
 
 def test_returns_fresh_list():
@@ -40,6 +56,35 @@ def test_memo_holds_the_64_orders_used_last():
     misses = _build.cache_info().misses
     assert cyclotomic(3001) == first
     assert _build.cache_info().misses == misses + 1
+
+
+def test_matches_dense_oracle():
+    for n in [*range(1, 1200), 46189, 65536, 65537]:
+        assert cyclotomic(n) == cyclotomic_dense(n), n
+
+
+@pytest.mark.parametrize("n", [5, 12, 105, 4290, 65537])
+def test_self_check_rejects_a_wrong_sign(monkeypatch, n):
+    # With every Mobius sign flipped the series is 1/Phi_n, whose mirror does
+    # not take Phi_n's value at 1; the failed build leaves no memo entry.
+    _build.cache_clear()
+    monkeypatch.setattr(cyclotomic_module, "mobius", lambda m: -mobius(m))
+    with pytest.raises(ArithmeticError, match=f"n={n}"):
+        cyclotomic(n)
+    assert _build.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert cyclotomic(n) == cyclotomic_dense(n)
+    assert _build.cache_info().misses == 2
+
+
+def test_build_makes_no_dense_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense polynomial helper called")
+
+    _build.cache_clear()
+    monkeypatch.setattr(cyclotomic_module, "int_mul", refuse)
+    monkeypatch.setattr(cyclotomic_module, "int_exact_div", refuse)
+    assert cyclotomic(4290) == cyclotomic_kronecker(4290)
 
 
 def test_divisor_product_small():

@@ -3,6 +3,7 @@ module attribute their callers look up. A refactor that unbinds one of those
 names, or calls a kernel through a reference taken at import, breaks the
 traced benchmark run; these tests catch it in the main suite."""
 
+import importlib
 import random
 from pathlib import Path
 
@@ -67,3 +68,19 @@ def test_jco_goertzel_after_jco_reuses_the_cyclotomic_stage(tracer):
     complexity.measure("jco_goertzel", v, 1)
     assert tracer.layers["polynomial.reduce_by_intpoly"].calls == 2
     assert tracer.layers["polynomial.reduce_by_pk"].calls == 1
+
+
+def test_cold_cyclotomic_counts_one_miss(tracer):
+    # perfbench counts a miss, and its build time, only for a cyclotomic span
+    # with a child span, so a cold build must call the number theory it uses
+    # through dftbin.cyclotomic's module globals.
+    module = importlib.import_module("dftbin.cyclotomic")
+    module._build.cache_clear()
+    stats = tracer.stats("cyclotomic")
+    module.cyclotomic(4290)
+    assert stats.calls == 1
+    assert stats.extra.get("misses", 0) == 1
+    assert stats.extra["build_ns"] > 0
+    module.cyclotomic(4290)
+    assert stats.calls == 2
+    assert stats.extra["misses"] == 1
