@@ -4,8 +4,8 @@ These deliberately avoid the library's reduction kernels: plain long
 division, plain products, plain DFT sums. The exceptions are earlier, simpler
 forms of a library stage kept as references for the faster one that replaced
 them (cyclotomic_dense, dense_stream, single_cyclo_reduce, and the per-op
-push, kernels and evaluation stage, which charge every operation through the counter's add and
-mul).
+push, kernels and evaluation stage, which charge every operation through the
+counter's add and mul).
 """
 
 import cmath
