@@ -33,14 +33,15 @@ reduce_by_pk, the degree-2 stage that Goertzel's algorithm and the
 combined one end in, keeps its registers in floats where they hold exactly
 what complex registers would: one float per register on real samples, a
 real and an imaginary float on complex data. Each layout runs one loop per
-form and sign of A, with the sign written into the adds; the function's
-docstring gives the bound outside which it steps complex registers, and
-why every loop is exact.
+form and sign of A, with the sign written into the adds. A run whose
+registers end in an inf or a NaN is run again on complex registers; the
+function's docstring gives why every loop is exact.
 """
 
 import functools
+from cmath import isfinite
 from itertools import compress
-from operator import attrgetter
+from operator import add as _add, attrgetter, mul as _mul
 
 __all__ = [
     "trim",
@@ -261,6 +262,16 @@ def _pk_step(add, mul, x, s1, s2, d, A, lam, sign):
     return add(sign * s1, d), d
 
 
+def _pk_per_op(signal, v, A, lam, sign, counter):
+    # reduce_by_pk with every step through counter.add and counter.mul, on
+    # complex registers; v is signal[:0:-1].
+    add, mul = counter.add, counter.mul
+    s1 = s2 = d = 0j
+    for x in v:
+        s2, (s1, d) = s1, _pk_step(add, mul, x, s1, s2, d, A, lam, sign)
+    return (add(signal[0], -s2), s1)
+
+
 def reduce_by_pk(signal: list, A: float, counter,
                  lam: float | None = None) -> tuple[complex, complex]:
     """Remainder (r0, r1) of a signal polynomial modulo 1 - A*x + x**2.
@@ -287,24 +298,40 @@ def reduce_by_pk(signal: list, A: float, counter,
     stepped as above, bit for bit; only the layout of the registers is
     chosen from the input:
     - Per-op: unless the recursion's own constant (A, or lam +- 2 in
-      Reinsch's form) is at most 2 in magnitude and N * sum|v| < 1e300,
-      every step runs through add and mul on complex registers. Within
-      that bound every sample is finite and |s_n| <= (n + 1) * sum|v| up
-      to rounding, so no register or product comes near overflow, and no
-      step meets an inf or a NaN.
+      Reinsch's form) is at most 2 in magnitude, every step runs through
+      add and mul on complex registers. The 0j layout needs the bound: at
+      A < -2, lam < 0 can give t a -0.0 imaginary part (see below).
     - Real: no sample has a nonzero imaginary part. Where no sample is
       complex-typed either, a register is one float: CPython 3.10-3.13
       promote a float operand of complex arithmetic to complex(x, 0.0),
       under which complex registers hold a +0.0 imaginary part throughout
-      and, as real part, the float step's result. Otherwise (or on an
-      interpreter that does not promote) the same loop runs on 0j
-      registers.
+      and, while every value is finite, as real part the float step's
+      result. Otherwise (or on an interpreter that does not promote) the
+      same loop runs on 0j registers.
     - Split: some sample has a nonzero imaginary part, and a register is
       a pair of floats. A full step has no zero component, and the cross
       terms of the complex products, +-0.0 on finite operands, leave each
-      component as the pair computes it. Every other step runs through
-      add and mul on complex registers rebuilt from the pairs, which
-      keeps the signed zeros of complex arithmetic.
+      component as the pair computes it. Every other step runs on complex
+      registers rebuilt from the pairs, which keeps the signed zeros of
+      complex arithmetic.
+
+    A loop's slow steps run _pk_step with operator.add and operator.mul,
+    whose values are add's and mul's, and keep its operands in a list (one
+    tuple per slow step, O(N) at worst like the reversed copy of the
+    signal). After the loop, if s1, s2 and d are finite, the list is
+    replayed in order through _pk_step with add and mul, so the counter
+    gets the calls a step-by-step run makes, and the full steps are
+    charged in bulk. Otherwise the list is dropped and the call runs
+    per-op from the start. That rests on one fact: a register that holds
+    an inf or a NaN never holds a finite value again. Every update of s1
+    adds a multiple of s1 (A*s1 in the plain form, +-s1 in Reinsch's),
+    every update of d adds +-d, s2 takes the last s1, and a multiple of an
+    inf or a NaN is +-inf or NaN (NaN for a constant of 0), as is a sum
+    with one. An inf or a NaN that a step meets, in a sample, a product or
+    a sum, reaches s1 or d in that step. So finite registers at the end
+    show that no step met one, and the layout held exactly the complex
+    registers' values. signal[0] enters only the final add, which every
+    path makes through add.
 
     The last sample is tested first: a nonzero imaginary part there picks
     the split layout at once. Only other data pay for sum(signal), which
@@ -313,9 +340,8 @@ def reduce_by_pk(signal: list, A: float, counter,
 
     Each layout runs one of three loops, picked by the form and the sign
     of A: the plain form, Reinsch's form with A > 0, and Reinsch's with
-    A < 0. A loop tests only the zeros of its form. It counts the steps
-    that go through _pk_step; the other n - 1 - slow steps are full, and
-    are charged in bulk. Every Reinsch loop writes the sign into its adds,
+    A < 0. A loop tests only the zeros of its form. Its steps that are
+    not slow are full. Every Reinsch loop writes the sign into its adds,
     t + d and s1 + dn for A > 0, t - d and dn - s1 for A < 0, where the
     per-op step multiplies by +-1. That is exact in every layout:
     - on floats and pairs, 1.0*d is d, and x - y is x + (-y);
@@ -325,27 +351,23 @@ def reduce_by_pk(signal: list, A: float, counter,
       one too. A product by +-1.0 then has the real part of +-d, and the
       add leaves +0.0 as imaginary part either way;
     - without promotion (CPython 3.14), +-1.0*z is +-z by components.
-    _pk_step keeps the product: outside the bound, -1.0 * complex(inf, 0.0)
-    is (-inf+nanj), not -complex(inf, 0.0).
+    _pk_step keeps the product: on a per-op run a register may be
+    infinite, and -1.0 * complex(inf, 0.0) is (-inf+nanj), not
+    -complex(inf, 0.0).
     """
     n = len(signal)
     if n == 0:
         return (0j, 0j)
     if n == 1:
         return (signal[0], 0j)
-    add, mul = counter.add, counter.mul
     sign = 1 if A > 0 else -1
     const = A if lam is None else lam
     zero = not const
     v = signal[:0:-1]
-    step = _pk_step
-    slow = 0
-    if not (abs(const if lam is None else lam + 2 * sign) <= 2
-            and n * sum(map(abs, signal)) < 1e300):
-        s1 = s2 = d = 0j
-        for x in v:
-            s2, (s1, d) = s1, step(add, mul, x, s1, s2, d, A, lam, sign)
-        return (add(signal[0], -s2), s1)
+    if abs(const if lam is None else lam + 2 * sign) > 2:
+        return _pk_per_op(signal, v, A, lam, sign, counter)
+    step, add, mul = _pk_step, _add, _mul
+    slow = []
     # Generic complex data skip the sum: their last sample decides.
     if not signal[-1].imag and (not (typed := isinstance(sum(signal), complex))
                                 or _is_real(signal)):
@@ -358,7 +380,7 @@ def reduce_by_pk(signal: list, A: float, counter,
                 if x and t and s2 and (m or zero):
                     s2, s1 = s1, t - s2
                 else:
-                    slow += 1
+                    slow.append((x, s1, s2, d))
                     s2, (s1, d) = s1, step(add, mul, x, s1, s2, d, A, lam, sign)
         elif sign > 0:
             for x in v:
@@ -368,7 +390,7 @@ def reduce_by_pk(signal: list, A: float, counter,
                 if x and t and d and dn and s1 and (m or zero):
                     s2, s1, d = s1, s1 + dn, dn
                 else:
-                    slow += 1
+                    slow.append((x, s1, s2, d))
                     s2, (s1, d) = s1, step(add, mul, x, s1, s2, d, A, lam, sign)
         else:
             for x in v:
@@ -378,9 +400,9 @@ def reduce_by_pk(signal: list, A: float, counter,
                 if x and t and d and dn and s1 and (m or zero):
                     s2, s1, d = s1, dn - s1, dn
                 else:
-                    slow += 1
+                    slow.append((x, s1, s2, d))
                     s2, (s1, d) = s1, step(add, mul, x, s1, s2, d, A, lam, sign)
-        s1, s2 = complex(s1), complex(s2)
+        s1, s2, d = complex(s1), complex(s2), complex(d)
     else:
         width = 2
         s1r = s1i = s2r = s2i = dr = di = 0.0
@@ -393,9 +415,8 @@ def reduce_by_pk(signal: list, A: float, counter,
                     s2r, s1r = s1r, tr - s2r
                     s2i, s1i = s1i, ti - s2i
                 else:
-                    slow += 1
-                    s1, d = step(add, mul, z, complex(s1r, s1i), complex(s2r, s2i),
-                                 complex(dr, di), A, lam, sign)
+                    slow.append(ops := (z, complex(s1r, s1i), complex(s2r, s2i), complex(dr, di)))
+                    s1, d = step(add, mul, *ops, A, lam, sign)
                     s2r, s2i, s1r, s1i, dr, di = s1r, s1i, s1.real, s1.imag, d.real, d.imag
         elif sign > 0:
             for z in v:
@@ -408,9 +429,8 @@ def reduce_by_pk(signal: list, A: float, counter,
                     s2r, s1r, dr = s1r, s1r + dnr, dnr
                     s2i, s1i, di = s1i, s1i + dni, dni
                 else:
-                    slow += 1
-                    s1, d = step(add, mul, z, complex(s1r, s1i), complex(s2r, s2i),
-                                 complex(dr, di), A, lam, sign)
+                    slow.append(ops := (z, complex(s1r, s1i), complex(s2r, s2i), complex(dr, di)))
+                    s1, d = step(add, mul, *ops, A, lam, sign)
                     s2r, s2i, s1r, s1i, dr, di = s1r, s1i, s1.real, s1.imag, d.real, d.imag
         else:
             for z in v:
@@ -423,10 +443,15 @@ def reduce_by_pk(signal: list, A: float, counter,
                     s2r, s1r, dr = s1r, dnr - s1r, dnr
                     s2i, s1i, di = s1i, dni - s1i, dni
                 else:
-                    slow += 1
-                    s1, d = step(add, mul, z, complex(s1r, s1i), complex(s2r, s2i),
-                                 complex(dr, di), A, lam, sign)
+                    slow.append(ops := (z, complex(s1r, s1i), complex(s2r, s2i), complex(dr, di)))
+                    s1, d = step(add, mul, *ops, A, lam, sign)
                     s2r, s2i, s1r, s1i, dr, di = s1r, s1i, s1.real, s1.imag, d.real, d.imag
-        s1, s2 = complex(s1r, s1i), complex(s2r, s2i)
-    _charge(counter, n - 1 - slow, (2 - zero if lam is None else 3 - zero) * width, const, width)
+        s1, s2, d = complex(s1r, s1i), complex(s2r, s2i), complex(dr, di)
+    if not (isfinite(s1) and isfinite(s2) and isfinite(d)):
+        return _pk_per_op(signal, v, A, lam, sign, counter)
+    add, mul = counter.add, counter.mul
+    for ops in slow:
+        step(add, mul, *ops, A, lam, sign)
+    _charge(counter, n - 1 - len(slow), (2 - zero if lam is None else 3 - zero) * width,
+            const, width)
     return (add(signal[0], -s2), s1)

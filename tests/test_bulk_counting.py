@@ -4,16 +4,18 @@ OpRecorder.add and OpRecorder.mul, which define a count. Both must give the
 same counts and repr-equal values, on every kind of input: float, complex,
 small integers (real and complex, with cancellations), exact and signed
 zeros, complex-typed real samples (all of them, or some among floats),
-samples on both sides of reduce_by_pk's layout bound, and 1e308 samples
-whose registers overflow to inf and NaN. reduce_by_pk is also checked with
-polynomial._PROMOTES patched false, so real signals take the 0j registers
-of an interpreter that does not promote a float operand to complex.
+samples on both sides of and far above reduce_by_pk's former layout bound,
+single inf and NaN samples, and 1e308 samples whose registers overflow to
+inf and NaN. reduce_by_pk is also checked with polynomial._PROMOTES patched
+false, so real signals take the 0j registers of an interpreter that does
+not promote a float operand to complex.
 
 Runs under pytest, or as a plain script on an interpreter without pytest:
 
     PYTHONPATH=src python tests/test_bulk_counting.py
 """
 
+import cmath
 import itertools
 import math
 import random
@@ -32,8 +34,10 @@ ZEROS = (0, 0.0, -0.0, 0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0,
 
 
 def straddle(v):
-    """v scaled so that len(v) * sum|v| sits just below reduce_by_pk's layout
-    bound, 1e300, at odd length and just above it at even length."""
+    """v scaled so that len(v) * sum|v| sits just below reduce_by_pk's former
+    layout bound, 1e300, at odd length and just above it at even length.
+    Outside that bound the kernel used to step complex registers; it now
+    checks its registers for an inf or a NaN after the float loop."""
     n = len(v)
     scale = 1e300 * (1 - 1e-9 if n % 2 else 1 + 1e-9) / (n * sum(map(abs, v)))
     return [x * scale for x in v]
@@ -74,6 +78,87 @@ def signals(N):
         "mixed_typed_real": [rng.uniform(-1, 1)] + pick(
             (0.5, -0.75, 1.25, 0j, complex(0.5, -0.0), complex(-0.25, -0.0)))[1:],
     }
+
+
+def pk_signals(N):
+    """Signals of length N >= 2 for reduce_by_pk past its former bound, each
+    as real floats, complex-typed real samples and complex samples:
+    - "above_bound": finite, with N * sum|v| at 1e302 to 1e305, so every
+      register stays finite;
+    - "inf_at_1", "nan_at_1": one sample at index 1, the loop's last step;
+    - "inf_at_last", "nan_at_last": one at index N - 1, its first step;
+    - "inf_at_0", "nan_at_0": signal[0] alone, which the loop never reads."""
+    rng = random.Random(N)
+    variants = {
+        "": lambda x: x,
+        "_complex_typed_real": lambda x: complex(x, rng.choice((0.0, -0.0))),
+        # The non-finite part of a complex sample alternates between components.
+        "_complex": lambda x: (complex(x, rng.uniform(-1, 1)) if N % 2 or math.isfinite(x)
+                               else complex(rng.uniform(-1, 1), x)),
+    }
+    base = [rng.uniform(-1, 1) for _ in range(N)]
+    scale = 10.0 ** (302 + N % 4) / (N * sum(map(abs, base)))
+    kinds = {"above_bound": [x * scale for x in base]}
+    for name, at in (("1", 1), ("last", N - 1), ("0", 0)):
+        for special in ("inf", "nan"):
+            v = list(base)
+            v[at] = float(special)
+            kinds[f"{special}_at_{name}"] = v
+    return {kind + suffix: [make(x) for x in v]
+            for kind, v in kinds.items() for suffix, make in variants.items()}
+
+
+class CallCounter:
+    """A counter with only add and mul, which counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def add(self, x, y):
+        self.calls += 1
+        return x + y
+
+    def mul(self, value, const):
+        self.calls += 1
+        return value * const
+
+
+def check_pk_past_former_bound(N) -> int:
+    """reduce_by_pk on pk_signals(N) at bins 0, 1, 2, 7, N/4, N/2 and N - 1
+    (those below N), in both forms, with polynomial._PROMOTES as found and
+    patched false: repr and counts against per_op_reduce_by_pk, and repr
+    through a CallCounter. Registers stay finite above the bound; where a
+    sample the loop reads is not finite, the counter gets exactly the
+    per-op run's calls, so no slow step of the discarded float run is
+    charged."""
+    cases = 0
+    data = pk_signals(N)
+    promotes = polynomial._PROMOTES
+    try:
+        for flag in {promotes, False}:
+            polynomial._PROMOTES = flag
+            for k in {0, 1, 2, 7, N // 4, N // 2, N - 1} & set(range(N)):
+                A = BinSpec.for_bin(N, k).A
+                for kind, v in data.items():
+                    # lam as reduce_by_pk reads the sign of A, so that the
+                    # recursion's constant is A: at A = 0.0, lam = 2.0.
+                    for form in (None, A - 2.0 if A > 0 else A + 2.0):
+                        what = ("pk", N, k, kind, form, flag)
+                        got_rec, want_rec = OpRecorder(), OpRecorder()
+                        want = per_op_reduce_by_pk(v, A, want_rec, form)
+                        _same(what, reduce_by_pk(v, A, got_rec, form), want, got_rec, want_rec)
+                        got_calls, want_calls = CallCounter(), CallCounter()
+                        got = reduce_by_pk(v, A, got_calls, form)
+                        per_op_reduce_by_pk(v, A, want_calls, form)
+                        assert repr(got) == repr(want), what
+                        if kind.startswith("above_bound"):
+                            assert all(map(cmath.isfinite, got)), what
+                        elif not kind.startswith(("inf_at_0", "nan_at_0")):
+                            assert got_calls.calls == want_calls.calls, what
+                        cases += 1
+    finally:
+        polynomial._PROMOTES = promotes
+    return cases
 
 
 def bins(N):
@@ -192,6 +277,11 @@ def test_reduce_by_pk_bulk_equals_per_op_large_n():
         check_pk(N)
 
 
+def test_reduce_by_pk_past_the_former_bound():
+    for N in (*range(2, 41), 205, 385):
+        check_pk_past_former_bound(N)
+
+
 def test_cyclotomic_stage_bulk_equals_per_op_small_n():
     for N in SMALL_N:
         check_cyclo(N)
@@ -256,6 +346,7 @@ def test_counter_without_bulk_gets_the_same_values():
 
 
 def test_near_bound_kinds_straddle_the_layout_bound():
+    # The bound is reduce_by_pk's former one; both sides take the float loop.
     for N in SMALL_N:
         data = signals(N)
         for kind in ("near_bound", "near_bound_complex"):
@@ -279,6 +370,7 @@ def test_bulk_charges_what_add_and_mul_charge():
 def sweep():
     """Run every check; return the number of kernel cases compared."""
     cases = sum(check_pk(N) + check_cyclo(N) + check_eval(N) for N in (*SMALL_N, *LARGE_N))
+    cases += sum(check_pk_past_former_bound(N) for N in (*range(2, 41), 205, 385))
     test_infinite_register_with_a_zero_imaginary_part()
     test_signed_zeros_of_short_signals()
     test_counter_without_bulk_gets_the_same_values()
