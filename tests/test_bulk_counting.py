@@ -108,28 +108,13 @@ def pk_signals(N):
             for kind, v in kinds.items() for suffix, make in variants.items()}
 
 
-class CallCounter:
-    """A counter with only add and mul, which counts its calls."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def add(self, x, y):
-        self.calls += 1
-        return x + y
-
-    def mul(self, value, const):
-        self.calls += 1
-        return value * const
-
-
 def check_pk_past_former_bound(N) -> int:
     """reduce_by_pk on pk_signals(N) at bins 0, 1, 2, 7, N/4, N/2 and N - 1
     (those below N), in both forms, with polynomial._PROMOTES as found and
     patched false: repr and counts against per_op_reduce_by_pk, and repr
-    through a CallCounter. Registers stay finite above the bound; where a
-    sample the loop reads is not finite, the counter gets exactly the
-    per-op run's calls, so no slow step of the discarded float run is
+    through an AddMulOnly counter. Registers stay finite above the bound;
+    where a sample the loop reads is not finite, the counter gets exactly
+    the per-op run's calls, so no slow step of the discarded float run is
     charged."""
     cases = 0
     data = pk_signals(N)
@@ -147,7 +132,7 @@ def check_pk_past_former_bound(N) -> int:
                         got_rec, want_rec = OpRecorder(), OpRecorder()
                         want = per_op_reduce_by_pk(v, A, want_rec, form)
                         _same(what, reduce_by_pk(v, A, got_rec, form), want, got_rec, want_rec)
-                        got_calls, want_calls = CallCounter(), CallCounter()
+                        got_calls, want_calls = AddMulOnly(), AddMulOnly()
                         got = reduce_by_pk(v, A, got_calls, form)
                         per_op_reduce_by_pk(v, A, want_calls, form)
                         assert repr(got) == repr(want), what
@@ -321,12 +306,18 @@ def test_signed_zeros_of_short_signals():
 
 
 class AddMulOnly:
-    """A counter with the two required methods and no bulk charge."""
+    """A counter with the two required methods and no bulk charge, which
+    counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
 
     def add(self, x, y):
+        self.calls += 1
         return x + y
 
     def mul(self, value, const):
+        self.calls += 1
         return value * const
 
 
