@@ -112,7 +112,8 @@ def check_pk_past_former_bound(N) -> int:
     """reduce_by_pk on pk_signals(N) at bins 0, 1, 2, 7, N/4, N/2 and N - 1
     (those below N), in both forms, with polynomial._PROMOTES as found and
     patched false: repr and counts against per_op_reduce_by_pk, and repr
-    through an AddMulOnly counter. Registers stay finite above the bound;
+    through an AddMulOnly counter. Registers stay finite above the bound,
+    and from N = 4 the float loop charges some steps in bulk;
     where a sample the loop reads is not finite, the counter gets exactly
     the per-op run's calls, so no slow step of the discarded float run is
     charged."""
@@ -138,6 +139,8 @@ def check_pk_past_former_bound(N) -> int:
                         assert repr(got) == repr(want), what
                         if kind.startswith("above_bound"):
                             assert all(map(cmath.isfinite, got)), what
+                            # The float loop ran: its full steps made no call.
+                            assert N < 4 or got_calls.calls < want_calls.calls, what
                         elif not kind.startswith(("inf_at_0", "nan_at_0")):
                             assert got_calls.calls == want_calls.calls, what
                         cases += 1
