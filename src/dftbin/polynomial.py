@@ -315,11 +315,11 @@ def reduce_by_pk(signal: list, A: float, counter,
       registers rebuilt from the pairs, which keeps the signed zeros of
       complex arithmetic.
 
-    In the real layout a slow step is computed as a full one, which the
-    arguments above and below show exact for every finite step. In the
-    split layout it runs _pk_step with operator.add and operator.mul,
-    whose values are add's and mul's. Its operands x, s1, s2, d are appended to
-    a flat list. After the loop, if s1 is finite, the list is replayed in
+    A slow step is computed as a full one in the real layout, which the
+    arguments above and below show exact for every finite step, and in
+    the split layout by _pk_step with operator.add and operator.mul,
+    whose values are add's and mul's. Either way its operands x, s1, s2
+    and d are appended to a flat list. After the loop, if s1 is finite, the list is replayed in
     order through _pk_step with add and mul, so the counter gets the calls
     a step-by-step run makes, and the full steps are charged in bulk.
     Otherwise the list is dropped and the call runs per-op from the start.
@@ -334,11 +334,10 @@ def reduce_by_pk(signal: list, A: float, counter,
     the complex registers' values. signal[0] enters only the final add,
     which every path makes through add.
 
-    The list costs time and memory on signals with many exact zeros
-    (zero padding, silence, small integers), whose steps are mostly slow:
-    per slow step, four slots and the registers they keep, about 60 bytes
-    in the real plain form, 85 in Reinsch's and 130 in the split layout,
-    against 8 bytes per sample for the reversed copy of the signal.
+    The list holds four slots per slow step and the registers they keep:
+    about 60 bytes in the real plain form, 85 in Reinsch's and 130 in the
+    split layout, against 8 per sample for v. Signals with many exact
+    zeros (zero padding, silence, small integers) are mostly slow steps.
 
     The last sample is tested first: a nonzero imaginary part there picks
     the split layout at once. Only other data pay for sum(signal), which
