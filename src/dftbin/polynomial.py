@@ -41,7 +41,7 @@ function's docstring gives why every loop is exact.
 import functools
 from cmath import isfinite
 from itertools import compress
-from operator import add as _add, attrgetter, mul as _mul
+from operator import attrgetter
 
 __all__ = [
     "trim",
@@ -316,23 +316,23 @@ def reduce_by_pk(signal: list, A: float, counter,
       complex arithmetic.
 
     A slow step is computed as a full one in the real layout, which the
-    arguments above and below show exact for every finite step, and in
-    the split layout by _pk_step with operator.add and operator.mul,
-    whose values are add's and mul's. Either way its operands x, s1, s2
-    and d are appended to a flat list. After the loop, if s1 is finite, the list is replayed in
-    order through _pk_step with add and mul, so the counter gets the calls
-    a step-by-step run makes, and the full steps are charged in bulk.
+    arguments above and below show exact for every finite step, and in the
+    split layout by _pk_step's own arithmetic, written out, with x - y for
+    add(x, -y). Either way its operands x, s1, s2 and d are appended to a
+    flat list. After the loop, if s1 is finite, the list is replayed in
+    order through _pk_step with add and mul, so the counter gets the calls a
+    step-by-step run makes, and the full steps are charged in bulk.
     Otherwise the list is dropped and the call runs per-op from the start.
     That rests on one fact: a register that holds an inf or a NaN never
     holds a finite value again. Every update of s1 adds a multiple of s1
-    (A*s1 in the plain form, +-s1 in Reinsch's), every update of d adds
-    +-d, and a multiple of an inf or a NaN is +-inf or NaN (NaN for a
-    constant of 0), as is a sum with one. An inf or a NaN that a step
-    meets, in a sample, a product or a sum, reaches s1 or d in that step,
-    and d reaches s1 (s1 <- +-s1 + d). s2 is an earlier s1, so a finite
-    s1 at the end shows that no step met one, and the layout held exactly
-    the complex registers' values. signal[0] enters only the final add,
-    which every path makes through add.
+    (A*s1 in the plain form, +-s1 in Reinsch's), every update of d adds +-d,
+    and a multiple of an inf or a NaN is +-inf or NaN (NaN for a constant of
+    0), as is a sum with one. An inf or a NaN that a step meets, in a
+    sample, a product or a sum, reaches s1 or d in that step, and d reaches
+    s1 (s1 <- +-s1 + d). s2 is an earlier s1, so a finite s1 at the end
+    shows that no step met one, and the layout held exactly the complex
+    registers' values. signal[0] enters only the final add, which every path
+    makes through add.
 
     The list holds four slots per slow step and the registers they keep:
     about 60 bytes in the real plain form, 85 in Reinsch's and 130 in the
@@ -372,7 +372,6 @@ def reduce_by_pk(signal: list, A: float, counter,
     v = signal[:0:-1]
     if abs(const if lam is None else lam + 2 * sign) > 2:
         return _pk_per_op(signal, v, A, lam, sign, counter)
-    step, add, mul = _pk_step, _add, _mul
     slow = []  # x, s1, s2, d of each slow step, four slots each
     # Generic complex data skip the sum: their last sample decides.
     if not signal[-1].imag and (not (typed := isinstance(sum(signal), complex))
@@ -417,8 +416,8 @@ def reduce_by_pk(signal: list, A: float, counter,
                 else:
                     s1, s2, d = complex(s1r, s1i), complex(s2r, s2i), complex(dr, di)
                     slow += z, s1, s2, d
-                    s1, d = step(add, mul, z, s1, s2, d, A, lam, sign)
-                    s2r, s2i, s1r, s1i, dr, di = s1r, s1i, s1.real, s1.imag, d.real, d.imag
+                    s1 = z + s1 * A - s2
+                    s2r, s2i, s1r, s1i = s1r, s1i, s1.real, s1.imag
         elif sign > 0:
             for z in v:
                 xr, xi = z.real, z.imag
@@ -432,7 +431,8 @@ def reduce_by_pk(signal: list, A: float, counter,
                 else:
                     s1, s2, d = complex(s1r, s1i), complex(s2r, s2i), complex(dr, di)
                     slow += z, s1, s2, d
-                    s1, d = step(add, mul, z, s1, s2, d, A, lam, sign)
+                    d = z + s1 * lam + sign * d
+                    s1 = sign * s1 + d
                     s2r, s2i, s1r, s1i, dr, di = s1r, s1i, s1.real, s1.imag, d.real, d.imag
         else:
             for z in v:
@@ -447,12 +447,13 @@ def reduce_by_pk(signal: list, A: float, counter,
                 else:
                     s1, s2, d = complex(s1r, s1i), complex(s2r, s2i), complex(dr, di)
                     slow += z, s1, s2, d
-                    s1, d = step(add, mul, z, s1, s2, d, A, lam, sign)
+                    d = z + s1 * lam + sign * d
+                    s1 = sign * s1 + d
                     s2r, s2i, s1r, s1i, dr, di = s1r, s1i, s1.real, s1.imag, d.real, d.imag
         s1, s2 = complex(s1r, s1i), complex(s2r, s2i)
     if not isfinite(s1):
         return _pk_per_op(signal, v, A, lam, sign, counter)
-    add, mul = counter.add, counter.mul
+    add, mul, step = counter.add, counter.mul, _pk_step
     it = iter(slow)
     for x, r1, r2, rd in zip(it, it, it, it):
         step(add, mul, x, r1, r2, rd, A, lam, sign)
