@@ -330,65 +330,46 @@ def _eval_remainder(R, spec: BinSpec, rec: OpRecorder) -> complex:
     # Sum of R[m] * W**m from the root table of (N, L); see "Cost policy".
     # Each nonzero real tap past the constant costs at most 2 real
     # multiplications, matching the classic per-tap accounting. The counts
-    # are mul's and add's, tallied inline and charged once: a product costs
-    # the root's cost for real c and twice that for complex c; an add whose
-    # operands have no zero component costs 2, any other goes through rec.add.
-    # Where no tap is complex-typed, the sum runs on two float accumulators:
-    # a full tap's product c * w has the components c * w.real and
-    # c * w.imag (the cross terms of a promoted float are +-0.0 against
-    # nonzero components), so the float adds are the complex add's. Any
-    # other tap runs on the complex values rebuilt, as on complex data.
-    # R[0] is tested first because summing complex taps is the slow scan.
+    # are mul's and add's, tallied inline and charged once. A float tap's
+    # product has the components c * w.real and c * w.imag where both are
+    # nonzero (a promoted float's cross terms are +-0.0); any other tap takes
+    # the complex product. The sum runs on two floats: an add of nonzero ar,
+    # pr and pi is exact even at ai = +-0.0 (+-0.0 + pi is pi), where add
+    # charges the real parts only; every real signal's first add is such, as
+    # R[0] has a zero imaginary part. Any other add goes through rec.add.
     N, L = spec.N, spec.L
     g, step = N // L, spec.k * L // N
     roots, costs = _root_table(N, L)
     acc = complex(R[0])
+    ar, ai = acc.real, acc.imag
     mults = adds = r = 0
-    if not isinstance(R[0], complex) and not isinstance(sum(R), complex):
-        ar, ai = acc.real, acc.imag
-        for c in islice(R, 1, None):
-            r += step
-            if r >= L:
-                r -= L
-            if c == 0:
-                continue
-            w = roots[r]
-            if w is None:
-                w = roots[r] = root_power(N, r * g)
-                costs[r] = _const_cost(w)
+    for c in islice(R, 1, None):
+        r += step
+        if r >= L:
+            r -= L
+        if not c:
+            continue
+        w = roots[r]
+        if w is None:
+            w = roots[r] = root_power(N, r * g)
+            costs[r] = _const_cost(w)
+        if type(c) is float:
             mults += costs[r]
             pr, pi = c * w.real, c * w.imag
-            if ar and ai and pr and pi:
-                adds += 2
-                ar += pr
-                ai += pi
-            else:
-                acc = rec.add(complex(ar, ai), c * w)
-                ar, ai = acc.real, acc.imag
-        acc = complex(ar, ai)
-    else:
-        for c in islice(R, 1, None):
-            r += step
-            if r >= L:
-                r -= L
-            if c == 0:
-                continue
-            w = roots[r]
-            if w is None:
-                w = roots[r] = root_power(N, r * g)
-                costs[r] = _const_cost(w)
-            cost = costs[r]
-            if cost:
-                mults += 2 * cost if c.imag else cost
+        else:
             p = c * w
-            if acc.real and acc.imag and p.real and p.imag:
-                adds += 2
-                acc += p
-            else:
-                acc = rec.add(acc, p)
+            mults += 2 * costs[r] if c.imag else costs[r]
+            pr, pi = p.real, p.imag
+        if ar and pr and pi:
+            adds += 2 if ai else 1
+            ar += pr
+            ai += pi
+        else:
+            acc = rec.add(complex(ar, ai), c * w)
+            ar, ai = acc.real, acc.imag
     rec.mults += mults
     rec.adds += adds
-    return acc
+    return complex(ar, ai)
 
 
 def naive_bin(v, k: int) -> BinResult:

@@ -144,7 +144,8 @@ def fold(signal: list, L: int, counter) -> list:
     if len(signal) <= L:
         return R
     add = counter.add
-    real = _is_real(signal)
+    # sum is far cheaper than _is_real's scan; complex data's last sample decides.
+    real = not signal[-1].imag and (not isinstance(sum(signal), complex) or _is_real(signal))
     full = 0
     for start in range(L, len(signal), L):
         block = signal[start:start + L]

@@ -1,7 +1,9 @@
 import cmath
 import math
 import random
+from itertools import product
 
+import numpy as np
 import pytest
 
 from fractions import Fraction
@@ -11,13 +13,14 @@ from dftbin.algorithms import (REINSCH_MIN_A, TRIVIAL_A_ORDERS, BinSpec,
                                OpRecorder, _cyclo_reduce, _eval_remainder,
                                goertzel_bin, jco_bin, jco_goertzel_bin, naive_bin,
                                remainder_length, root_power, stage_plan)
-from dftbin.complexity import measure, nominal_costs
+from dftbin.complexity import ALGORITHMS, measure, nominal_costs
 from dftbin.cyclotomic import cyclotomic
 from dftbin.dtmf import DEFAULT_CONFIG
 from dftbin.numtheory import bin_order, factorize, totient
 from dftbin.polynomial import reduce_by_intpoly, reduce_by_pk
 from dftbin.streaming import design_filter
-from oracles import ORDERS_WITH_TAP_ABOVE_2, chain_moduli, dft_bin, mp_bin, single_cyclo_reduce
+from oracles import (ORDERS_WITH_TAP_ABOVE_2, chain_moduli, dft_bin, mp_bin, per_op_eval,
+                     single_cyclo_reduce)
 
 ALGS = (naive_bin, goertzel_bin, jco_bin, jco_goertzel_bin)
 
@@ -484,3 +487,36 @@ def test_goertzel_plain_below_reinsch_threshold():
             res = goertzel_bin(v, k)
             assert repr(res.value) == repr(value), (N, k)
             assert res.counts == rec.counts(), (N, k)
+
+
+@pytest.mark.parametrize("N,k", [(1, 0), (2, 1), (8, 3), (12, 5), (105, 2), (205, 18)])
+def test_numpy_and_int_samples_give_a_python_complex(N, k):
+    # numpy.complex128, numpy.float64 and int samples against the same
+    # samples as Python complex or float: the value is a Python complex,
+    # with the same repr and the same counts, for every tag.
+    rng = random.Random(N)
+    cx, re = _rand_complex(rng, N), _rand_real(rng, N)
+    ints = [rng.randint(-3, 3) for _ in range(N)]
+    cases = {"complex128": (list(np.array(cx)), cx), "float64": (list(np.array(re)), re),
+             "int": (ints, [float(x) for x in ints])}
+    for tag in ALGORITHMS:
+        for kind, (v, same) in cases.items():
+            got, want = measure(tag, v, k), measure(tag, same, k)
+            assert type(got.value) is complex, (tag, kind, type(got.value))
+            assert repr((got.value, got.counts)) == repr((want.value, want.counts)), (tag, kind)
+
+
+def test_eval_remainder_equals_per_op_on_mixed_short_remainders():
+    # Every 2- and 3-tap remainder over float, int, signed-zero and complex
+    # taps, at bins whose powers of W include eighth turns, which have zero
+    # or equal components, and at generic ones: value repr and counts.
+    taps = (0.5, -0.75, 0.0, -0.0, 1, complex(0.5, 0.0), complex(0.5, -0.0),
+            complex(-0.25, 1.5), complex(0.0, 2.0))
+    for N, k in ((4, 1), (8, 1), (8, 3), (12, 5), (7, 3), (205, 18)):
+        spec = BinSpec.for_bin(N, k)
+        for R in [*product(taps, repeat=2), *product(taps, repeat=3)]:
+            got_rec, want_rec = OpRecorder(), OpRecorder()
+            got = _eval_remainder(R, spec, got_rec)
+            want = per_op_eval(R, spec, want_rec)
+            assert repr(got) == repr(want), (N, k, R)
+            assert got_rec.counts() == want_rec.counts(), (N, k, R)
