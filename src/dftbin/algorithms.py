@@ -95,8 +95,8 @@ of L slots per length N and order L, whose slot j = (k/g)*m mod L,
 g = N/L, holds root_power(N, g*j) and its _const_cost once a bin visits
 it; a sweep of every bin of N keeps under 4.6 N roots below N = 10**6.
 A slot is two list entries, 16 bytes on a 64-bit CPython, plus a 32-byte
-complex once filled. The root stays a complex: on complex data the stage
-multiplies by it as it is, and on real data it reads its two components.
+complex once filled. The root stays a complex: a float tap reads its two
+components, and any other tap is multiplied by it as it is.
 Like every memo of a polynomial, modulus, split or root table, these keep
 only the 64 keys used last; factorize, totient and _chain_orders stay
 unbounded, since an entry is a few ints.
@@ -333,10 +333,11 @@ def _eval_remainder(R, spec: BinSpec, rec: OpRecorder) -> complex:
     # are mul's and add's, tallied inline and charged once. A float tap's
     # product has the components c * w.real and c * w.imag where both are
     # nonzero (a promoted float's cross terms are +-0.0); any other tap takes
-    # the complex product. The sum runs on two floats: an add of nonzero ar,
-    # pr and pi is exact even at ai = +-0.0 (+-0.0 + pi is pi), where add
-    # charges the real parts only; every real signal's first add is such, as
-    # R[0] has a zero imaginary part. Any other add goes through rec.add.
+    # the complex product. The sum runs on two floats. An add of nonzero ar,
+    # pr and pi is done in place even at ai = +-0.0, which adds pi exactly
+    # and for which rec.add charges the real parts only; every real signal's
+    # first add is one, as R[0] has a zero imaginary part. Any other add
+    # goes through rec.add.
     N, L = spec.N, spec.L
     g, step = N // L, spec.k * L // N
     roots, costs = _root_table(N, L)

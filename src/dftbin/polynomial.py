@@ -144,7 +144,7 @@ def fold(signal: list, L: int, counter) -> list:
     if len(signal) <= L:
         return R
     add = counter.add
-    # sum is far cheaper than _is_real's scan; complex data's last sample decides.
+    # The last sample decides generic complex data; sum is far cheaper than _is_real.
     real = not signal[-1].imag and (not isinstance(sum(signal), complex) or _is_real(signal))
     full = 0
     for start in range(L, len(signal), L):
