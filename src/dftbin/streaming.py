@@ -19,12 +19,16 @@ exports: the integer feedback taps of Phi_L and totient(L) numerator taps.
 The numerator comes from synthetic division of the (sign-normalized)
 cyclotomic polynomial by (1 - Wbar*u), Wbar = exp(+2j pi k / N): one exact
 recurrence instead of the phi(L)-1 factor product, which is kept only as a
-test oracle. The division residual is checked at design time, and a stream
-starts from a designed FilterSpec. The bin's k and L come from
-algorithms.BinSpec.for_bin, which validates (N, k).
+test oracle. Each tap costs one complex multiply-add and a check of its two
+components' fractional parts; only a tap with a component within 2e-12 of an
+integer goes to _snap, which rounds a component within 1e-12 of one. The
+division residual is checked at design time, and a stream starts from a
+designed FilterSpec. The bin's k and L come from algorithms.BinSpec.for_bin,
+which validates (N, k).
 """
 
 from collections import namedtuple
+from itertools import islice
 
 from . import algorithms, polynomial
 from .algorithms import BinResult, BinSpec, OpRecorder, root_power
@@ -102,7 +106,13 @@ class FilterState:
 
 
 def design_filter(N: int, k: int) -> FilterSpec:
-    """Design the streaming filter for bin k of an N-point transform."""
+    """Design the streaming filter for bin k of an N-point transform.
+
+    Tap m is Wbar * a[m-1] + den[m]: one complex multiply-add, then a check
+    that each component's fraction x % 1.0 lies in (2e-12, 1 - 2e-12). Only a
+    tap that fails it goes through _snap. Raises ArithmeticError when the
+    division's residual exceeds _RESIDUAL_LIMIT.
+    """
     bin_spec = BinSpec.for_bin(N, k)
     k, L = bin_spec.k, bin_spec.L
     deg = totient(L)
@@ -110,10 +120,19 @@ def design_filter(N: int, k: int) -> FilterSpec:
     if den[0] == -1:  # only L = 1; normalize so the constant tap is 1
         den = [-c for c in den]
     wbar = root_power(N, -k)
-    a = [complex(1.0)]
-    for m in range(1, deg):
-        a.append(_snap(wbar * a[m - 1] + den[m]))
-    residual = den[deg] + wbar * a[deg - 1]
+    z = complex(1.0)
+    a = [z]
+    for c in islice(den, 1, deg):
+        z = wbar * z + c
+        # _snap moves a component only within 1e-12 of an integer, and
+        # x % 1.0 is exact for x >= 0 but may round by 2**-53 for x < 0
+        # (-1e-20 % 1.0 == 1.0), hence the 2e-12 margin. A tap that fails
+        # the check only pays a _snap call, which may leave it as it is;
+        # NaN and inf fail it and raise in _snap.
+        if not (2e-12 < z.real % 1.0 < 1 - 2e-12 and 2e-12 < z.imag % 1.0 < 1 - 2e-12):
+            z = _snap(z)
+        a.append(z)
+    residual = den[deg] + wbar * z
     if abs(residual) > _RESIDUAL_LIMIT:
         raise ArithmeticError(
             f"numerator design residual {abs(residual):.3e} for N={N}, k={k}")

@@ -3,18 +3,20 @@
 These deliberately avoid the library's reduction kernels: plain long
 division, plain products, plain DFT sums. The exceptions are earlier, simpler
 forms of a library stage kept as references for the faster one that replaced
-them (cyclotomic_dense, dense_stream, single_cyclo_reduce, and the per-op
-push, kernels and evaluation stage, which charge every operation through the
-counter's add and mul).
+them (cyclotomic_dense, dense_stream, single_cyclo_reduce, the filter design
+that snaps every tap, and the per-op push, kernels and evaluation stage, which
+charge every operation through the counter's add and mul).
 """
 
 import cmath
 import math
 
-from dftbin.algorithms import root_power
+from dftbin.algorithms import BinSpec, root_power
 from dftbin.complexity import OpRecorder
 from dftbin.cyclotomic import cyclotomic
+from dftbin.numtheory import totient
 from dftbin.polynomial import int_exact_div, int_mul, reduce_by_intpoly
+from dftbin.streaming import _RESIDUAL_LIMIT, FilterSpec, _snap
 
 
 def poly_mul(a, b):
@@ -151,6 +153,27 @@ def dense_stream(v, spec):
     for m in range(1, deg):
         value = rec.add(value, rec.mul(w[-1 - m], spec.a[m]))
     return value, rec.counts()
+
+
+def design_snap_every_tap(N, k):
+    """streaming.design_filter as first written, with every tap through _snap:
+    the reference whose FilterSpec (or ArithmeticError) the design that
+    snaps only near-integer components must reproduce bit for bit."""
+    bin_spec = BinSpec.for_bin(N, k)
+    k, L = bin_spec.k, bin_spec.L
+    deg = totient(L)
+    den = cyclotomic(L)
+    if den[0] == -1:  # only L = 1; normalize so the constant tap is 1
+        den = [-c for c in den]
+    wbar = root_power(N, -k)
+    a = [complex(1.0)]
+    for m in range(1, deg):
+        a.append(_snap(wbar * a[m - 1] + den[m]))
+    residual = den[deg] + wbar * a[deg - 1]
+    if abs(residual) > _RESIDUAL_LIMIT:
+        raise ArithmeticError(
+            f"numerator design residual {abs(residual):.3e} for N={N}, k={k}")
+    return FilterSpec(N, k, L, tuple(a), tuple(den))
 
 
 def _mobius(n):

@@ -10,7 +10,8 @@ from dftbin.complexity import measure
 from dftbin.cyclotomic import cyclotomic
 from dftbin.numtheory import totient
 from dftbin.streaming import design_filter, finalize, new_state, push
-from oracles import dense_stream, first_order_reference, numerator_product, per_op_push
+from oracles import (dense_stream, design_snap_every_tap, first_order_reference,
+                     numerator_product, per_op_push)
 
 SQ2 = math.sqrt(2.0)
 
@@ -54,6 +55,26 @@ def test_numerator_matches_product_oracle():
         oracle = numerator_product(N, k)
         assert len(oracle) == len(spec.a)
         assert max(abs(a - b) for a, b in zip(spec.a, oracle)) <= 1e-9
+
+
+def _design_repr(design, N, k):
+    try:
+        return repr(design(N, k))
+    except ArithmeticError as exc:
+        return f"ArithmeticError: {exc}"
+
+
+def test_design_bits_match_snap_every_tap_oracle():
+    # 320 bins of N < 130 have a tap that _snap moves (orders 8, 16, 32, 64
+    # and 128). (3067, 1) is the smallest N whose k = 1 design fails, and
+    # (65537, 1) fails with the residual the benchmark expects. The repr of
+    # every complex tap pins its bits, the sign of a zero included.
+    bins = [(N, k) for N in range(1, 130) for k in range(N)]
+    bins += [(3067, 1), (4096, 1), (4290, 1), (65537, 1)]
+    for N, k in bins:
+        assert _design_repr(design_filter, N, k) == _design_repr(design_snap_every_tap, N, k), (N, k)
+    assert _design_repr(design_filter, 65537, 1).startswith(
+        "ArithmeticError: numerator design residual 1.801e-07")
 
 
 def test_transfer_identity():
