@@ -92,8 +92,10 @@ There is no tolerance: _const_cost charges what the float run does.
 _cost memoises it for the kernels' constants (A, lam, integer taps).
 The evaluation stage reads W**m from _root_table(N, L) instead: one table
 of L slots per length N and order L, whose slot j = (k/g)*m mod L,
-g = N/L, holds root_power(N, g*j) and its _const_cost once a bin visits
-it; a sweep of every bin of N keeps under 4.6 N roots below N = 10**6.
+g = N/L, holds root_power(N, g*j) and its _const_cost once a tap of a bin
+visits it, a zero tap too; a sweep of every bin of N keeps under 4.6 N
+roots below N = 10**6, one table per divisor of N. At k/g = 1 the table
+holds W**m in m order, and a long remainder is zipped with it.
 A slot is two list entries, 16 bytes on a 64-bit CPython, plus a 32-byte
 complex once filled. The root stays a complex: a float tap reads its two
 components, and any other tap is multiplied by it as it is.
@@ -115,8 +117,8 @@ import cmath
 import functools
 import math
 from collections import namedtuple
-from itertools import islice
-from operator import is_
+from itertools import compress, islice
+from operator import attrgetter, is_
 
 from .cyclotomic import cyclotomic
 from .numtheory import bin_index, bin_order, factorize, totient
@@ -155,6 +157,12 @@ def _const_cost(c) -> int:
 
 
 _cost = functools.lru_cache(maxsize=64)(_const_cost)
+_imag = attrgetter("imag")
+# Past this many taps _eval_remainder zips R with a step-1 root table. Its
+# set-up costs about 2.5 us (CPython 3.11): against the stepped loop, real
+# and complex remainders took 1.03-1.06 of its time at 128 taps, 0.94-1.0
+# at 256, 0.86-0.96 at 512 and 0.71-0.74 at 65536.
+_ZIP_MIN = 256
 # The last signal _cyclo_stage reduced, as (tuple of its samples,
 # {L: (R, mults, adds)}), or None; see the shared stage above.
 _STAGE_MEMO = None
@@ -329,43 +337,78 @@ def _root_table(N: int, L: int) -> tuple[list, list]:
 def _eval_remainder(R, spec: BinSpec, rec: OpRecorder) -> complex:
     # Sum of R[m] * W**m from the root table of (N, L); see "Cost policy".
     # Each nonzero real tap past the constant costs at most 2 real
-    # multiplications, matching the classic per-tap accounting. The counts
-    # are mul's and add's, tallied inline and charged once. A float tap's
-    # product has the components c * w.real and c * w.imag where both are
-    # nonzero (a promoted float's cross terms are +-0.0); any other tap takes
-    # the complex product. The sum runs on two floats. An add of nonzero ar,
-    # pr and pi is done in place even at ai = +-0.0, which adds pi exactly
-    # and for which rec.add charges the real parts only; every real signal's
-    # first add is one, as R[0] has a zero imaginary part. Any other add
-    # goes through rec.add.
-    N, L = spec.N, spec.L
+    # multiplications, matching the classic per-tap accounting. Every tap
+    # is multiplied before its zero test. A float tap's product has the
+    # components c * w.real and c * w.imag where both are nonzero (a
+    # promoted float's cross terms are +-0.0); any other tap takes the
+    # complex product. A tap is fast where ar and both components are
+    # nonzero: it is added on two floats, even at ai = +-0.0, which adds pi
+    # exactly and for which rec.add charges the real parts only (every
+    # real signal's first add is one, as R[0] has a zero imaginary part).
+    # Any other nonzero tap goes through rec.add. Where the bin's step is 1
+    # and R has more than _ZIP_MIN taps, the table holds the roots in m
+    # order: the loop zips R with it, and the counts are taken after the
+    # loop, as the costs of the nonzero taps, again for those with a
+    # nonzero imaginary part, and 2 adds per fast tap, 1 where it met
+    # ai = 0. Any other remainder steps a slot index through the table and
+    # tallies inline.
+    N, L, n = spec.N, spec.L, len(R)
     g, step = N // L, spec.k * L // N
     roots, costs = _root_table(N, L)
     acc = complex(R[0])
     ar, ai = acc.real, acc.imag
+    if step == 1 and _ZIP_MIN < n <= L:
+        if not all(islice(roots, 1, n)):
+            for r in range(1, n):
+                if roots[r] is None:
+                    roots[r] = root_power(N, r * g)
+                    costs[r] = _const_cost(roots[r])
+        met = other = typed = 0
+        for c, w in zip(islice(R, 1, None), islice(roots, 1, None)):
+            if type(c) is float:
+                pr, pi = c * w.real, c * w.imag
+            else:
+                p = c * w
+                pr, pi = p.real, p.imag
+                typed = 1
+            if ar and pr and pi:
+                if not ai:
+                    met += 1
+                ar += pr
+                ai += pi
+            else:
+                other += 1
+                if c:
+                    acc = rec.add(complex(ar, ai), c * w)
+                    ar, ai = acc.real, acc.imag
+        rec.mults += sum(compress(islice(costs, 1, None), islice(R, 1, None)))
+        if typed:
+            rec.mults += sum(compress(islice(costs, 1, None), map(_imag, islice(R, 1, None))))
+        rec.adds += 2 * (n - 1 - other) - met
+        return complex(ar, ai)
     mults = adds = r = 0
     for c in islice(R, 1, None):
         r += step
         if r >= L:
             r -= L
-        if not c:
-            continue
         w = roots[r]
         if w is None:
             w = roots[r] = root_power(N, r * g)
             costs[r] = _const_cost(w)
         if type(c) is float:
-            mults += costs[r]
             pr, pi = c * w.real, c * w.imag
         else:
             p = c * w
-            mults += 2 * costs[r] if c.imag else costs[r]
             pr, pi = p.real, p.imag
+            if c.imag:
+                mults += costs[r]
         if ar and pr and pi:
+            mults += costs[r]
             adds += 2 if ai else 1
             ar += pr
             ai += pi
-        else:
+        elif c:
+            mults += costs[r]
             acc = rec.add(complex(ar, ai), c * w)
             ar, ai = acc.real, acc.imag
     rec.mults += mults

@@ -520,3 +520,14 @@ def test_eval_remainder_equals_per_op_on_mixed_short_remainders():
             want = per_op_eval(R, spec, want_rec)
             assert repr(got) == repr(want), (N, k, R)
             assert got_rec.counts() == want_rec.counts(), (N, k, R)
+
+
+def test_every_tag_raises_on_a_none_sample():
+    # The evaluation multiplies every tap before its zero test, so naive
+    # summation fails on a None sample as the reductions do: on a 2-tap
+    # remainder, which steps a slot index through the root table, and on a
+    # 300-tap one at step 1, which zips the taps with the table.
+    for v, k in (([1.0, None], 1), ([0.5] * 299 + [None], 1)):
+        for tag in ALGORITHMS:
+            with pytest.raises((TypeError, AttributeError)):
+                measure(tag, v, k)

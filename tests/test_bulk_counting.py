@@ -21,7 +21,7 @@ import math
 import random
 
 from dftbin import algorithms, polynomial
-from dftbin.algorithms import BinSpec, OpRecorder, _cyclo_reduce
+from dftbin.algorithms import BinSpec, OpRecorder, _cyclo_reduce, _eval_remainder
 from dftbin.complexity import ALGORITHMS, measure
 from dftbin.cyclotomic import cyclotomic
 from dftbin.polynomial import fold, reduce_by_intpoly, reduce_by_pk
@@ -175,7 +175,7 @@ def check_pk(N) -> int:
             for k in bins(N):
                 spec = BinSpec.for_bin(N, k)
                 A = spec.A
-                lam = A - math.copysign(2.0, A)
+                lam = A - 2.0 if A > 0 else A + 2.0
                 for kind, v in data.items():
                     for form in (None, lam):
                         got_rec, want_rec = OpRecorder(), OpRecorder()
@@ -245,6 +245,51 @@ def check_eval(N) -> int:
     return len(remainders)
 
 
+# Orders whose chain stages space their taps below, at and above
+# polynomial._BATCH_MIN (8: gap 4, 16: gap 8, 64 and 1024), with gap-1
+# stages and taps of magnitude 2 among batched ones (205, 1155, 1716), and
+# primes whose taps form one run below and above polynomial._RUN_MIN (31,
+# 41 and 257).
+PATH_ORDERS = (8, 16, 64, 1024, 205, 1155, 1716, 31, 41, 257)
+
+
+def check_paths(L) -> int:
+    """At order L, on every input kind of length L: the cyclotomic stage
+    against the per-op chain, and the evaluation of that remainder and of
+    the signal itself against per_op_eval, at k = 1 (step 1: the signal's
+    L taps zip with the root table from 257 on) and at the first k >= 5
+    coprime to L (the slot index steps through the table). From L = 8 the
+    remainders reach the quarter-turn slot L/4. Two more signals: one
+    with nonzero samples above L/2 only, so batches and runs add to zero
+    slots, and zeros after a -0.0, whose sign a zero tap's add would flip."""
+    cases = 0
+    specs = (BinSpec.for_bin(L, 1), BinSpec.for_bin(L, next(k for k in range(5, L)
+                                                            if math.gcd(k, L) == 1)))
+    data = signals(L)
+    data["low_zeros"] = [0.0] * (L // 2) + data["float"][L // 2:]
+    data["signed_zero"] = [-0.0] + [0.0] * (L - 1)
+    for kind, v in data.items():
+        got_rec, want_rec = OpRecorder(), OpRecorder()
+        got = _cyclo_reduce(v, specs[0], got_rec)
+        want = v
+        for modulus in chain_moduli(L):
+            want = per_op_reduce_by_intpoly(want, modulus, want_rec)
+        _same(("chain", L, kind), got, want, got_rec, want_rec)
+        for R in (got, v):
+            for spec in specs:
+                got_rec, want_rec = OpRecorder(), OpRecorder()
+                _same(("eval", spec, len(R), kind), _eval_remainder(R, spec, got_rec),
+                      per_op_eval(R, spec, want_rec), got_rec, want_rec)
+                cases += 1
+        cases += 1
+    return cases
+
+
+def test_batch_run_and_zip_paths_equal_per_op():
+    for L in PATH_ORDERS:
+        check_paths(L)
+
+
 def test_eval_stage_bulk_equals_per_op_small_n():
     for N in SMALL_N:
         check_eval(N)
@@ -285,7 +330,7 @@ def test_infinite_register_with_a_zero_imaginary_part():
     # s1 as a real value, though s1 * A has a NaN imaginary part.
     for A in (1.3, -0.7):
         v = [1 + 1j] * 6 + [complex(math.inf, -A), 1 + 1j]
-        for lam in (None, A - math.copysign(2.0, A)):
+        for lam in (None, A - 2.0 if A > 0 else A + 2.0):
             got_rec, want_rec = OpRecorder(), OpRecorder()
             _same(("pk", A, lam), reduce_by_pk(v, A, got_rec, lam),
                   per_op_reduce_by_pk(v, A, want_rec, lam), got_rec, want_rec)
@@ -302,7 +347,7 @@ def test_signed_zeros_of_short_signals():
     for n in range(2, 5):
         for v in itertools.product(samples, repeat=n):
             for A in (-1.5, -0.7, 0.0, 0.7, 1.5, -2.0, 2.0):
-                for lam in (None, A - math.copysign(2.0, A)):
+                for lam in (None, A - 2.0 if A > 0 else A + 2.0):
                     got_rec, want_rec = OpRecorder(), OpRecorder()
                     _same(("pk", v, A, lam), reduce_by_pk(list(v), A, got_rec, lam),
                           per_op_reduce_by_pk(list(v), A, want_rec, lam), got_rec, want_rec)
@@ -330,7 +375,7 @@ def test_counter_without_bulk_gets_the_same_values():
                  "int", "zeros", "overflow"):
         for k in (1, 2, 77, 192):
             spec = BinSpec.for_bin(385, k)
-            for lam in (None, spec.A - math.copysign(2.0, spec.A)):
+            for lam in (None, spec.A - 2.0 if spec.A > 0 else spec.A + 2.0):
                 plain, rec = AddMulOnly(), OpRecorder()
                 got = reduce_by_pk(v[kind], spec.A, plain, lam)
                 assert repr(got) == repr(reduce_by_pk(v[kind], spec.A, rec, lam)), (kind, k)
@@ -365,6 +410,7 @@ def sweep():
     """Run every check; return the number of kernel cases compared."""
     cases = sum(check_pk(N) + check_cyclo(N) + check_eval(N) for N in (*SMALL_N, *LARGE_N))
     cases += sum(check_pk_past_former_bound(N) for N in (*range(2, 41), 205, 385))
+    cases += sum(check_paths(L) for L in PATH_ORDERS)
     test_infinite_register_with_a_zero_imaginary_part()
     test_signed_zeros_of_short_signals()
     test_counter_without_bulk_gets_the_same_values()

@@ -77,6 +77,27 @@ def test_design_bits_match_snap_every_tap_oracle():
         "ArithmeticError: numerator design residual 1.801e-07")
 
 
+def test_design_checks_each_component_of_a_tap(monkeypatch):
+    # At (3, 1) the one computed tap is Wbar + 1. With Wbar patched, each
+    # case puts one component 5e-13 from an integer, where _snap moves it,
+    # and the other far from one: a check of the real component alone, or
+    # one with a 1e-13 margin, would keep the tap as computed. No real
+    # design has such a tap below N = 260 (CHANGES.md, PR 25), so this
+    # pins the check of both components directly.
+    import oracles
+    from dftbin import streaming
+
+    monkeypatch.setattr(streaming, "_RESIDUAL_LIMIT", math.inf)
+    monkeypatch.setattr(oracles, "_RESIDUAL_LIMIT", math.inf)
+    for wbar in (complex(-0.3, 2.0 + 5e-13), complex(-0.3, -1.0 - 5e-13),
+                 complex(1.0 + 5e-13, 0.4), complex(-3.0 - 5e-13, -0.4)):
+        monkeypatch.setattr(streaming, "root_power", lambda N, k: wbar)
+        monkeypatch.setattr(oracles, "root_power", lambda N, k: wbar)
+        tap = design_filter(3, 1).a[1]
+        assert repr(design_filter(3, 1)) == _design_repr(design_snap_every_tap, 3, 1), wbar
+        assert tap != wbar + 1 and (tap.real.is_integer() or tap.imag.is_integer()), wbar
+
+
 def test_transfer_identity():
     # numerator(u) * (1 - Wbar*u) must reproduce the feedback polynomial.
     from dftbin.algorithms import root_power
