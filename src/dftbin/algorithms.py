@@ -352,12 +352,13 @@ def _eval_remainder(R, spec: BinSpec, rec: OpRecorder) -> complex:
     # nonzero imaginary part, and 2 adds per fast tap, 1 where it met
     # ai = 0. Any other remainder steps a slot index through the table and
     # tallies inline.
-    N, L, n = spec.N, spec.L, len(R)
+    N, L = spec.N, spec.L
     g, step = N // L, spec.k * L // N
     roots, costs = _root_table(N, L)
     acc = complex(R[0])
     ar, ai = acc.real, acc.imag
-    if step == 1 and _ZIP_MIN < n <= L:
+    if step == 1 and _ZIP_MIN < len(R) <= L:
+        n = len(R)
         if not all(islice(roots, 1, n)):
             for r in range(1, n):
                 if roots[r] is None:
@@ -397,18 +398,18 @@ def _eval_remainder(R, spec: BinSpec, rec: OpRecorder) -> complex:
             costs[r] = _const_cost(w)
         if type(c) is float:
             pr, pi = c * w.real, c * w.imag
+            cost = costs[r]
         else:
             p = c * w
             pr, pi = p.real, p.imag
-            if c.imag:
-                mults += costs[r]
+            cost = 2 * costs[r] if c.imag else costs[r]
         if ar and pr and pi:
-            mults += costs[r]
+            mults += cost
             adds += 2 if ai else 1
             ar += pr
             ai += pi
         elif c:
-            mults += costs[r]
+            mults += cost
             acc = rec.add(complex(ar, ai), c * w)
             ar, ai = acc.real, acc.imag
     rec.mults += mults

@@ -227,6 +227,14 @@ def _batches(rem, deg, batch, plus, minus, counter):
     _charge(counter, adds, 1)
 
 
+def _run(rem, j, n, x) -> int:
+    # Adds x to rem[j:j+n] on real data by one comprehension; returns the
+    # adds, one per nonzero slot.
+    seg = rem[j:j + n]
+    rem[j:j + n] = [s + x for s in seg]
+    return n if all(seg) else n - seg.count(0.0)
+
+
 def reduce_by_intpoly(signal: list, modulus: list[int], counter) -> list:
     """Remainder of a signal polynomial modulo a monic integer polynomial.
 
@@ -245,8 +253,8 @@ def reduce_by_intpoly(signal: list, modulus: list[int], counter) -> list:
     as C-level list passes that make the loops' adds in the same order:
     - Batches. Let g be the smallest spacing between the modulus's nonzero
       taps, its leading one included: 8192 at order 16384, 41 in
-      Phi_5(x**41). Fewer than g consecutive steps write disjoint slots,
-      none of them a slot whose c another step reads. So where
+      Phi_5(x**41). Any g consecutive steps write disjoint slots, none
+      of them a slot whose c another of them reads. So where
       g >= _BATCH_MIN and every tap is +-1, g steps run as one slice pass
       per tap, rem[a:a+g] = map(add, seg, cs), with cs negated for the -c
       taps. A batch in which some c is zero, a step the loop skips, runs
@@ -273,6 +281,7 @@ def reduce_by_intpoly(signal: list, modulus: list[int], counter) -> list:
         return rem
     add, mul = counter.add, counter.mul
     real = (batch > 1 or range in (type(plus), type(minus))) and _all_real(rem)
+    prun, mrun = real and type(plus) is range, real and type(minus) is range
     steps = range(len(rem) - 1, deg - 1, -1)
     if real and batch > 1:
         steps = _batches(rem, deg, batch, plus, minus, counter)
@@ -284,19 +293,24 @@ def reduce_by_intpoly(signal: list, modulus: list[int], counter) -> list:
         base = i - deg
         nc = -c
         if not c.imag:
-            for taps, x in ((plus, c), (minus, nc)):
-                if real and type(taps) is range:
-                    j, n = base + taps.start, len(taps)
-                    seg = rem[j:j + n]
-                    adds += n if all(seg) else n - seg.count(0.0)
-                    rem[j:j + n] = [s + x for s in seg]
-                    continue
-                for j in taps:
+            if prun:
+                adds += _run(rem, base + plus.start, len(plus), c)
+            else:
+                for j in plus:
                     j += base
                     s = rem[j]
                     if s.real:
                         adds += 1
-                    rem[j] = s + x
+                    rem[j] = s + c
+            if mrun:
+                adds += _run(rem, base + minus.start, len(minus), nc)
+            else:
+                for j in minus:
+                    j += base
+                    s = rem[j]
+                    if s.real:
+                        adds += 1
+                    rem[j] = s + nc
         else:
             both = c.real
             for j in plus:

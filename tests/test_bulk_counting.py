@@ -162,7 +162,8 @@ def _same(what, got, want, got_rec, want_rec):
 
 def check_pk(N) -> int:
     """reduce_by_pk at every bin of bins(N): the plain form, and Reinsch's
-    form with lam = A -+ 2 (lam = 0 at A = +-2), on every input kind, with
+    form with lam = A -+ 2 (lam = 0 at A = +-2, and lam = 2 at A = 0,
+    which reduce_by_pk reads as negative), on every input kind, with
     polynomial._PROMOTES as found and patched false. An interpreter that
     does not promote a float operand of complex arithmetic (CPython 3.14)
     runs real signals on 0j registers, as this one does with it false."""
@@ -258,8 +259,8 @@ def check_paths(L) -> int:
     against the per-op chain, and the evaluation of that remainder and of
     the signal itself against per_op_eval, at k = 1 (step 1: the signal's
     L taps zip with the root table from 257 on) and at the first k >= 5
-    coprime to L (the slot index steps through the table). From L = 8 the
-    remainders reach the quarter-turn slot L/4. Two more signals: one
+    coprime to L (the slot index steps through the table). Where 4 divides
+    L, the remainders reach the quarter-turn slot L/4. Two more signals: one
     with nonzero samples above L/2 only, so batches and runs add to zero
     slots, and zeros after a -0.0, whose sign a zero tap's add would flip."""
     cases = 0
