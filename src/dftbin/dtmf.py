@@ -15,6 +15,7 @@ order, and the other bins of that order reuse the remainder
 counts.
 """
 
+import functools
 import math
 import random
 from collections import namedtuple
@@ -40,16 +41,20 @@ _DIGIT_POS = {DIGITS[r][c]: (r, c) for r in range(4) for c in range(4)}
 class DtmfConfig(namedtuple("DtmfConfig",
                             "sample_rate block_size row_freqs col_freqs dominance_ratio",
                             defaults=(8000.0, 205, ROW_FREQS, COL_FREQS, 4.0))):
-    """Block layout and thresholds; construction rejects colliding tone bins."""
+    """Block layout and thresholds. Construction, _replace's too, rejects
+    colliding tone bins and stores the frequencies as tuples: a config hashes."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+        rate, size, rows, cols, ratio = super().__new__(cls, *args, **kwargs)
+        self = super().__new__(cls, rate, size, tuple(rows), tuple(cols), ratio)
         bins = self.row_bins() + self.col_bins()
         if len(set(bins)) != len(bins):
             raise ValueError(f"tone bins collide for N={self.block_size}: {bins}")
         return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def _bin(self, freq: float) -> int:
         return round(freq * self.block_size / self.sample_rate)
@@ -83,6 +88,11 @@ def synthesize(digit: str, config: DtmfConfig = DEFAULT_CONFIG,
     return block
 
 
+@functools.lru_cache(maxsize=64)
+def _tone_bins(config: DtmfConfig) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return config.row_bins(), config.col_bins()
+
+
 def _group_winner(powers: list[float], ratio: float) -> int | None:
     order = sorted(range(len(powers)), key=powers.__getitem__, reverse=True)
     best, runner = order[0], order[1]
@@ -97,8 +107,9 @@ def detect(block, config: DtmfConfig = DEFAULT_CONFIG,
     if len(block) != config.block_size:
         raise ValueError(
             f"block must hold {config.block_size} samples, got {len(block)}")
-    row_powers = [abs(measure(alg, block, k).value) ** 2 for k in config.row_bins()]
-    col_powers = [abs(measure(alg, block, k).value) ** 2 for k in config.col_bins()]
+    rows, cols = _tone_bins(config)
+    row_powers = [abs(measure(alg, block, k).value) ** 2 for k in rows]
+    col_powers = [abs(measure(alg, block, k).value) ** 2 for k in cols]
     row = _group_winner(row_powers, config.dominance_ratio)
     col = _group_winner(col_powers, config.dominance_ratio)
     if row is None or col is None:

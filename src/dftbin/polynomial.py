@@ -28,8 +28,9 @@ would charge for it is fixed by the constant and by whether the operands
 are real, so the kernel only tallies the step, and hands the tally to
 `counter.bulk(steps, adds, const, width)` once per call, if the counter has
 that method. A step with a zero operand goes through counter.add and
-counter.mul. Values are the same either way: a counter with only add and
-mul gets them, without the counts of the tallied steps.
+counter.mul, but reduce_by_pk's first, free on zero registers. Values are
+the same either way: a counter with only add and mul gets them, without
+the counts of the tallied steps.
 
 reduce_by_pk, the degree-2 stage that Goertzel's algorithm and the
 combined one end in, keeps its registers in floats where they hold exactly
@@ -42,7 +43,7 @@ function's docstring gives why every loop is exact.
 
 import functools
 from cmath import isfinite
-from itertools import compress
+from itertools import compress, islice
 from operator import add, attrgetter, neg
 
 __all__ = [
@@ -147,20 +148,23 @@ def fold(signal: list, L: int, counter) -> list:
 
     A block whose values and running sums have no zero component is added
     in full and charged in bulk; any other block goes through counter.add.
+    Real data with no zero sample are tested once, by all(signal), and then
+    each block only by all() of the running sums.
     """
     R = signal[:L]
     if len(signal) <= L:
         return R
-    add = counter.add
+    count_add = counter.add
     real = _all_real(signal)
+    dense = real and all(signal)
     full = 0
     for start in range(L, len(signal), L):
         block = signal[start:start + L]
-        if _no_zero(R, real) and _no_zero(block, real):
-            R = [a + b for a, b in zip(R, block)]
+        if (all(R) if dense else _no_zero(R, real) and _no_zero(block, real)):
+            R = list(map(add, R, block))
             full += len(block)
         else:
-            R = [add(a, b) for a, b in zip(R, block)]
+            R = [count_add(a, b) for a, b in zip(R, block)]
     _charge(counter, full, 1 if real else 2)
     return R
 
@@ -402,9 +406,9 @@ def reduce_by_pk(signal: list, A: float, counter,
     split layout by _pk_step's own arithmetic, written out, with x - y for
     add(x, -y). Either way its operands x, s1, s2 and d are appended to a
     flat list. After the loop, if s1 is finite, the list is replayed in
-    order through _pk_step with add and mul, so the counter gets the calls a
-    step-by-step run makes, and the full steps are charged in bulk.
-    Otherwise the list is dropped and the call runs per-op from the start.
+    order, but the first (see below), through _pk_step with add and mul, and
+    the full steps are charged in bulk. Otherwise the list is dropped and
+    the call runs per-op from the start.
     That rests on one fact: a register that holds an inf or a NaN never
     holds a finite value again. Every update of s1 adds a multiple of s1
     (A*s1 in the plain form, +-s1 in Reinsch's), every update of d adds +-d,
@@ -414,7 +418,10 @@ def reduce_by_pk(signal: list, A: float, counter,
     s1 (s1 <- +-s1 + d). s2 is an earlier s1, so a finite s1 at the end
     shows that no step met one, and the layout held exactly the complex
     registers' values. signal[0] enters only the final add, which every path
-    makes through add.
+    makes through add. The replay skips the first step, always slow: it
+    meets s1 = s2 = d = 0, so each of its adds and its product has a zero
+    operand and charges nothing under OpRecorder's rule, whatever the sample,
+    layout or form. Its 3 calls (4 in Reinsch's form) come on per-op runs.
 
     The list holds four slots per slow step and the registers they keep:
     about 60 bytes in the real plain form, 85 in Reinsch's and 130 in the
@@ -536,7 +543,7 @@ def reduce_by_pk(signal: list, A: float, counter,
     if not isfinite(s1):
         return _pk_per_op(signal, v, A, lam, sign, counter)
     add, mul, step = counter.add, counter.mul, _pk_step
-    it = iter(slow)
+    it = islice(slow, 4, None)  # the first step, always slow, charges nothing
     for x, r1, r2, rd in zip(it, it, it, it):
         step(add, mul, x, r1, r2, rd, A, lam, sign)
     _charge(counter, n - 1 - len(slow) // 4, (2 - zero if lam is None else 3 - zero) * width,

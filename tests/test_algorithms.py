@@ -99,6 +99,36 @@ def test_bin_spec_invariants():
         assert abs(spec.A - 2 * root_power(N, k).real) <= 1e-12
 
 
+def test_bin_spec_memo_holds_int_bins_only(monkeypatch):
+    # An int (N, k) is derived once, through algorithms.bin_order (the name
+    # perfbench wraps), and then returned as the same object. Other types
+    # never reach the memo, where 2.0 == 2 and True == 1 would hit.
+    calls = []
+
+    def counted(N, k):
+        calls.append((N, k))
+        return bin_order(N, k)
+
+    memo = algorithms._int_bin_spec
+    memo.cache_clear()
+    monkeypatch.setattr(algorithms, "bin_order", counted)
+    spec = BinSpec.for_bin(8, 2)
+    assert BinSpec.for_bin(8, 2) is spec and calls == [(8, 2)]
+    info = memo.cache_info()
+    for k in (2.0, 1.5, "1"):
+        with pytest.raises(ValueError, match=rf"^bin index must be an integer, got {k!r}$"):
+            BinSpec.for_bin(8, k)
+    for k, want in ((True, BinSpec.for_bin(8, 1)), (np.int64(2), spec)):
+        got = BinSpec.for_bin(8, k)
+        assert repr(got) == repr(want) and type(got.k) is int, k
+    with pytest.raises(ValueError, match="^signal length must be an integer, got 8.0$"):
+        BinSpec.for_bin(8.0, 2)
+    assert memo.cache_info()[:2] == (info.hits, info.misses + 1)  # only (8, 1) was new
+    for k in range(70):
+        assert BinSpec.for_bin(71, k) == BinSpec._derive(71, k)
+    assert memo.cache_info().currsize == 64
+
+
 def test_bin_spec_A_integral_exactly_at_trivial_orders():
     # A is rounded on L, not snapped on its value: at N = 2**23 the constant
     # lies within 1e-12 of 2 but is not 2.

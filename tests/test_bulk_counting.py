@@ -385,6 +385,61 @@ def test_counter_without_bulk_gets_the_same_values():
             assert repr(got) == repr(_cyclo_reduce(v[kind], spec, rec)), (kind, k)
 
 
+def test_first_step_is_not_replayed():
+    # reduce_by_pk replays its slow steps through add and mul, but not the
+    # first: it meets s1 = s2 = d = 0 and charges nothing. Each layout runs
+    # on a dense body and on one whose every step is slow (x has a zero
+    # component), in every form, with each kind of last sample.
+    # Values and counts equal the per-op run's; an AddMulOnly counter gets
+    # one step's calls (3 in the plain form, 4 in Reinsch's) fewer than
+    # the per-op run on the all-slow body where the registers stay finite,
+    # and all of them where the call reruns per-op.
+    rng = random.Random(27)
+    dense = [rng.uniform(-1, 1) for _ in range(12)]
+    bodies = {  # layout: (dense body, all-slow body, _PROMOTES)
+        "float": (dense, [0.0] * 12, polynomial._PROMOTES),
+        "0j": (dense, [0.0] * 12, False),
+        "split": ([complex(x, -x / 3) for x in dense], [0.5j] * 12, polynomial._PROMOTES),
+    }
+    lasts = (0.0, -0.0, 1e308, math.nan, math.inf, complex(0.5, 0.0), complex(0.0, -0.75))
+    forms = ((1.3, None), (-0.7, None), (0.0, None),  # plain, and a constant of 0
+             (1.9, 1.9 - 2.0), (-1.9, -1.9 + 2.0), (2.0, 0.0), (-2.0, 0.0))  # Reinsch's
+    promotes, finite = polynomial._PROMOTES, set()
+    try:
+        for layout, (body, slow, flag) in bodies.items():
+            polynomial._PROMOTES = flag
+            for last, (A, lam), all_slow in itertools.product(lasts, forms, (False, True)):
+                v = (slow if all_slow else body)[:-1] + [last]
+                what = (layout, last, A, lam, all_slow)
+                got_rec, want_rec = OpRecorder(), OpRecorder()
+                got = reduce_by_pk(v, A, got_rec, lam)
+                _same(what, got, per_op_reduce_by_pk(v, A, want_rec, lam), got_rec, want_rec)
+                got_calls, want_calls = AddMulOnly(), AddMulOnly()
+                assert repr(reduce_by_pk(v, A, got_calls, lam)) == repr(got), what
+                per_op_reduce_by_pk(v, A, want_calls, lam)
+                if all_slow:
+                    step = (3 if lam is None else 4) if cmath.isfinite(got[1]) else 0
+                    assert got_calls.calls == want_calls.calls - step, what
+                    finite.add(step > 0)
+    finally:
+        polynomial._PROMOTES = promotes
+    assert finite == {True, False}
+
+
+def test_fold_of_zero_free_real_data_whose_sums_cancel():
+    # fold tests all(signal) once on real data; a running sum that cancels to
+    # 0 (or -0.0 + 0.0) still sends the next block through counter.add.
+    rng = random.Random(28)
+    cases = [([1.0, 2.0, -1.0, 3.0, 5.0, -2.0], 2), ([-0.0, 1.0, 0.5, -1.0, -0.5, 2.0], 3)]
+    for N, L in ((12, 2), (12, 3), (60, 5), (205, 41)):
+        ints = [rng.choice((-2, -1, 1, 2)) for _ in range(N)]
+        cases += [(ints, L), ([complex(x, rng.choice((0.0, -0.0))) for x in ints], L),
+                  ([float(x) for x in ints], L)]
+    for v, L in cases:
+        got_rec, want_rec = OpRecorder(), OpRecorder()
+        _same(("fold", v, L), fold(v, L, got_rec), per_op_fold(v, L, want_rec), got_rec, want_rec)
+
+
 def test_near_bound_kinds_straddle_the_layout_bound():
     # The bound is reduce_by_pk's former one; both sides take the float loop.
     for N in SMALL_N:
@@ -415,6 +470,8 @@ def sweep():
     test_infinite_register_with_a_zero_imaginary_part()
     test_signed_zeros_of_short_signals()
     test_counter_without_bulk_gets_the_same_values()
+    test_first_step_is_not_replayed()
+    test_fold_of_zero_free_real_data_whose_sums_cancel()
     test_near_bound_kinds_straddle_the_layout_bound()
     test_bulk_charges_what_add_and_mul_charge()
     return cases

@@ -1,6 +1,8 @@
 import pytest
 
+from dftbin import dtmf
 from dftbin.algorithms import naive_bin
+from dftbin.complexity import measure
 from dftbin.dtmf import DEFAULT_CONFIG, DIGITS, DtmfConfig, detect, synthesize
 
 ALL_DIGITS = [d for row in DIGITS for d in row]
@@ -69,3 +71,39 @@ def test_detect_algorithm_independent():
 def test_detect_rejects_wrong_length():
     with pytest.raises(ValueError, match="205 samples"):
         detect([0.0] * 204)
+
+
+def test_config_stores_tuples_and_hashes():
+    rows, cols = list(DEFAULT_CONFIG.row_freqs), list(DEFAULT_CONFIG.col_freqs)
+    config = DtmfConfig(row_freqs=rows, col_freqs=cols)
+    assert type(config.row_freqs) is tuple and type(config.col_freqs) is tuple
+    assert config == DEFAULT_CONFIG and hash(config) == hash(DEFAULT_CONFIG)
+    replaced = DEFAULT_CONFIG._replace(col_freqs=cols)
+    assert type(replaced) is DtmfConfig and type(replaced.col_freqs) is tuple
+    with pytest.raises(ValueError, match="tone bins collide"):
+        DEFAULT_CONFIG._replace(block_size=4)
+
+
+@pytest.mark.parametrize("config", [DEFAULT_CONFIG, DtmfConfig(block_size=410)])
+def test_repeated_detect_measures_the_config_bins(monkeypatch, config):
+    # detect reads its config's bins once; every call still measures each
+    # bin through dtmf.measure and returns what one measure per bin gives.
+    block = synthesize("8", config, noise_rms=0.1, seed=3)
+    bins = config.row_bins() + config.col_bins()
+    seen = []
+
+    def entry(k, result):
+        return k, repr(result.value), result.counts
+
+    def recorded(alg, v, k):
+        result = measure(alg, v, k)
+        seen.append(entry(k, result))
+        return result
+
+    monkeypatch.setattr(dtmf, "measure", recorded)
+    for alg in ("goertzel", "jco", "jco_goertzel"):
+        want = [entry(k, measure(alg, list(block), k)) for k in bins]
+        for _ in range(3):
+            seen.clear()
+            assert detect(block, config, alg) == "8", alg
+            assert seen == want, alg
