@@ -30,7 +30,9 @@ are real, so the kernel only tallies the step, and hands the tally to
 that method. A step with a zero operand goes through counter.add and
 counter.mul, but reduce_by_pk's first, free on zero registers. Values are
 the same either way: a counter with only add and mul gets them, without
-the counts of the tallied steps.
+the counts of the tallied steps. reduce_by_pk tests a step that follows a
+full one only for the operands it can newly zero: the step before has
+shown the others nonzero (see its docstring).
 
 reduce_by_pk, the degree-2 stage that Goertzel's algorithm and the
 combined one end in, keeps its registers in floats where they hold exactly
@@ -435,10 +437,30 @@ def reduce_by_pk(signal: list, A: float, counter,
 
     Each layout runs one of three loops, picked by the form and the sign
     of A: the plain form, Reinsch's form with A > 0, and Reinsch's with
-    A < 0. A loop tests only the zeros of its form. Its steps that are
-    not slow are full. Every Reinsch loop writes the sign into its adds,
-    t + d and s1 + dn for A > 0, t - d and dn - s1 for A < 0, where the
-    per-op step multiplies by +-1. That is exact in every layout:
+    A < 0. Its steps that are not slow are full. A step that follows a
+    full step is tested only for the zeros it can newly meet, by
+    x and t and (m or zero and s2) in the plain form and
+    x and t and dn and (m or zero and s1) in Reinsch's (per component in
+    the split layout), where m is the product s1*A or s1*lam. The step
+    before witnesses the rest:
+    - s2 is the s1 of the step before, whose product m that step found
+      nonzero, and a product is zero where s1 is;
+    - d is the dn of the step before, which that step tested;
+    - a nonzero constant makes m witness s1; a constant of 0 witnesses
+      nothing, so the `zero and` branch tests s2 (s1) again.
+    After a slow step these witnesses do not hold, and the steps that
+    follow take the full test, which adds s2 (d) to the one above, until
+    one passes: the real layouts run them in an inner loop on the same
+    iterator, the split layout clears a flag. The first step, and the
+    second in the plain form, meet zero registers and fail either test,
+    so no step passes the short test without a full step before it.
+    Where an operand is an inf or a NaN (inf*0 is NaN), a test may pass
+    a step that is not full; such a run ends with s1 not finite and is
+    rerun per-op (see above).
+
+    Every Reinsch loop writes the sign into its adds, t + d and s1 + dn
+    for A > 0, t - d and dn - s1 for A < 0, where the per-op step
+    multiplies by +-1. That is exact in every layout:
     - on floats and pairs, 1.0*d is d, and x - y is x + (-y);
     - on 0j registers in Reinsch's form, d, s1 and s2 always hold a +0.0
       imaginary part: each update adds a term whose imaginary part is
@@ -467,42 +489,73 @@ def reduce_by_pk(signal: list, A: float, counter,
                                 or _is_real(signal)):
         width = 1
         s1 = s2 = d = 0.0 if _PROMOTES and not typed else 0j
+        # A slow step's inner loop runs the full test until a step passes;
+        # it leaves that step's update to the outer loop's last line.
+        it = iter(v)
         if lam is None:
-            for x in v:
+            for x in it:
                 m = s1 * A
                 t = x + m
-                if not (x and t and s2 and (m or zero)):
+                if not (x and t and (m or zero and s2)):
                     slow += x, s1, s2, d
+                    for x in it:
+                        s2, s1 = s1, t - s2
+                        m = s1 * A
+                        t = x + m
+                        if x and t and s2 and (m or zero):
+                            break
+                        slow += x, s1, s2, d
                 s2, s1 = s1, t - s2
         elif sign > 0:
-            for x in v:
+            for x in it:
                 m = s1 * lam
                 t = x + m
                 dn = t + d
-                if not (x and t and d and dn and s1 and (m or zero)):
+                if not (x and t and dn and (m or zero and s1)):
                     slow += x, s1, s2, d
+                    for x in it:
+                        s2, s1, d = s1, s1 + dn, dn
+                        m = s1 * lam
+                        t = x + m
+                        dn = t + d
+                        if x and t and d and dn and (m or zero and s1):
+                            break
+                        slow += x, s1, s2, d
                 s2, s1, d = s1, s1 + dn, dn
         else:
-            for x in v:
+            for x in it:
                 m = s1 * lam
                 t = x + m
                 dn = t - d
-                if not (x and t and d and dn and s1 and (m or zero)):
+                if not (x and t and dn and (m or zero and s1)):
                     slow += x, s1, s2, d
+                    for x in it:
+                        s2, s1, d = s1, dn - s1, dn
+                        m = s1 * lam
+                        t = x + m
+                        dn = t - d
+                        if x and t and d and dn and (m or zero and s1):
+                            break
+                        slow += x, s1, s2, d
                 s2, s1, d = s1, dn - s1, dn
         s1, s2 = complex(s1), complex(s2)
     else:
         width = 2
         s1r = s1i = s2r = s2i = dr = di = 0.0
+        # full: the last step was full. A slow step clears it, and the next
+        # step that passes the full test sets it again.
+        full = False
         if lam is None:
             for z in v:
                 xr, xi = z.real, z.imag
                 mr, mi = s1r * A, s1i * A
                 tr, ti = xr + mr, xi + mi
-                if xr and xi and tr and ti and s2r and s2i and (mr and mi or zero):
+                if (xr and xi and tr and ti and (mr and mi or zero and s2r and s2i)
+                        and (full or (full := s2r and s2i))):
                     s2r, s1r = s1r, tr - s2r
                     s2i, s1i = s1i, ti - s2i
                 else:
+                    full = False
                     s1, s2, d = complex(s1r, s1i), complex(s2r, s2i), complex(dr, di)
                     slow += z, s1, s2, d
                     s1 = z + s1 * A - s2
@@ -513,11 +566,12 @@ def reduce_by_pk(signal: list, A: float, counter,
                 mr, mi = s1r * lam, s1i * lam
                 tr, ti = xr + mr, xi + mi
                 dnr, dni = tr + dr, ti + di
-                if (xr and xi and tr and ti and dr and di and dnr and dni and s1r and s1i
-                        and (mr and mi or zero)):
+                if (xr and xi and tr and ti and dnr and dni and (mr and mi or zero and s1r and s1i)
+                        and (full or (full := dr and di))):
                     s2r, s1r, dr = s1r, s1r + dnr, dnr
                     s2i, s1i, di = s1i, s1i + dni, dni
                 else:
+                    full = False
                     s1, s2, d = complex(s1r, s1i), complex(s2r, s2i), complex(dr, di)
                     slow += z, s1, s2, d
                     d = z + s1 * lam + sign * d
@@ -529,11 +583,12 @@ def reduce_by_pk(signal: list, A: float, counter,
                 mr, mi = s1r * lam, s1i * lam
                 tr, ti = xr + mr, xi + mi
                 dnr, dni = tr - dr, ti - di
-                if (xr and xi and tr and ti and dr and di and dnr and dni and s1r and s1i
-                        and (mr and mi or zero)):
+                if (xr and xi and tr and ti and dnr and dni and (mr and mi or zero and s1r and s1i)
+                        and (full or (full := dr and di))):
                     s2r, s1r, dr = s1r, dnr - s1r, dnr
                     s2i, s1i, di = s1i, dni - s1i, dni
                 else:
+                    full = False
                     s1, s2, d = complex(s1r, s1i), complex(s2r, s2i), complex(dr, di)
                     slow += z, s1, s2, d
                     d = z + s1 * lam + sign * d

@@ -426,6 +426,92 @@ def test_first_step_is_not_replayed():
     assert finite == {True, False}
 
 
+def _zero_operands(v, A, lam, width):
+    """Per step of reduce_by_pk on complex registers, the names of its
+    operands that charge no add: a zero real part, or at width 2 (complex
+    data) a zero component. A product by a constant of 0 charges nothing,
+    so m is then left out; a nonzero constant charges s1 where m is
+    nonzero."""
+    sign, const = (1 if A > 0 else -1), (A if lam is None else lam)
+    zero = (lambda z: not z.real) if width == 1 else (lambda z: not (z.real and z.imag))
+    s1 = s2 = d = 0j
+    steps = []
+    for x in v[:0:-1]:
+        m = s1 * const
+        t = x + m
+        if lam is None:
+            ops = {"x": x, "t": t, "s2": s2}
+            s2, s1 = s1, t - s2
+        else:
+            dn = t + sign * d
+            ops = {"x": x, "t": t, "d": d, "dn": dn, "s1": s1}
+            s2, s1, d = s1, sign * s1 + dn, dn
+        if const:
+            ops["m"] = m
+        steps.append({name for name, z in ops.items() if zero(z)})
+    return steps
+
+
+def test_registers_that_cancel_on_zero_free_samples():
+    # Odd integer samples have no zero, but the registers cancel to zero
+    # often at these constants. reduce_by_pk tests a step that follows a
+    # full one without s2 (plain) or d (Reinsch's), whose zeros the step
+    # before has ruled out; after a slow step it must test them again.
+    # Values and counts equal the per-op run's, an AddMulOnly counter gets
+    # the calls of exactly the slow steps, and the data hold steps right
+    # after a slow one whose only zero operand is s2 (or d).
+    rng = random.Random(28)
+    odd = (-3.0, -1.0, 1.0, 3.0)
+    forms = ((1.0, None), (-1.0, None), (1.0, -1.0), (-1.0, 1.0), (2.0, 0.0), (-2.0, 0.0))
+    layouts = {  # layout: (sample, _PROMOTES)
+        "float": (lambda: rng.choice(odd), polynomial._PROMOTES),
+        "0j": (lambda: rng.choice(odd), False),
+        "split": (lambda: complex(rng.choice(odd), rng.choice(odd)), polynomial._PROMOTES),
+    }
+    promotes = polynomial._PROMOTES
+    try:
+        for layout, (sample, flag) in layouts.items():
+            polynomial._PROMOTES = flag
+            for A, lam in forms:
+                after_slow = 0
+                for _ in range(200):
+                    v = [sample() for _ in range(40)]
+                    what = (layout, A, lam, v)
+                    got_rec, want_rec = OpRecorder(), OpRecorder()
+                    got = reduce_by_pk(v, A, got_rec, lam)
+                    _same(what, got, per_op_reduce_by_pk(v, A, want_rec, lam), got_rec, want_rec)
+                    calls = AddMulOnly()
+                    assert repr(reduce_by_pk(v, A, calls, lam)) == repr(got), what
+                    zeros = _zero_operands(v, A, lam, 2 if layout == "split" else 1)
+                    # Each slow step but the first, always slow and free,
+                    # makes 3 calls (4 in Reinsch's form), the final add 1.
+                    slow = sum(map(bool, zeros))
+                    assert calls.calls == (slow - 1) * (3 if lam is None else 4) + 1, what
+                    only = {"s2"} if lam is None else {"d"}
+                    after_slow += sum(now == only for before, now in zip(zeros, zeros[1:])
+                                      if before)
+                assert after_slow, (layout, A, lam)
+    finally:
+        polynomial._PROMOTES = promotes
+
+
+def test_generic_counts_in_closed_form():
+    # On dense real data no register is zero after the first steps: the
+    # plain form charges (n-2)*cost(A) mults and 2n-4 adds, Reinsch's form
+    # (n-2)*cost(lam) mults and 3(n-2)+1 adds (the first step is free, and
+    # the second meets s2 = 0 in the plain form).
+    rng = random.Random(29)
+    for n in (3, 4, 10, 205, 4096):
+        v = [rng.uniform(-1, 1) for _ in range(n)]
+        for N, k in ((205, 18), (4096, 1), (4096, 1000), (4096, 2047)):
+            A = BinSpec.for_bin(N, k).A
+            lam = A - 2.0 if A > 0 else A + 2.0
+            for form, const, adds in ((None, A, 2 * n - 4), (lam, lam, 3 * (n - 2) + 1)):
+                rec = OpRecorder()
+                reduce_by_pk(v, A, rec, form)
+                assert rec.counts() == ((n - 2) * algorithms._cost(const), adds), (n, N, k, form)
+
+
 def test_fold_of_zero_free_real_data_whose_sums_cancel():
     # fold tests all(signal) once on real data; a running sum that cancels to
     # 0 (or -0.0 + 0.0) still sends the next block through counter.add.
@@ -471,6 +557,8 @@ def sweep():
     test_signed_zeros_of_short_signals()
     test_counter_without_bulk_gets_the_same_values()
     test_first_step_is_not_replayed()
+    test_registers_that_cancel_on_zero_free_samples()
+    test_generic_counts_in_closed_form()
     test_fold_of_zero_free_real_data_whose_sums_cancel()
     test_near_bound_kinds_straddle_the_layout_bound()
     test_bulk_charges_what_add_and_mul_charge()
