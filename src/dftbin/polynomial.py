@@ -490,7 +490,9 @@ def reduce_by_pk(signal: list, A: float, counter,
         width = 1
         s1 = s2 = d = 0.0 if _PROMOTES and not typed else 0j
         # A slow step's inner loop runs the full test until a step passes;
-        # it leaves that step's update to the outer loop's last line.
+        # it leaves that step's update to the outer loop's last line. The
+        # split layout's flag would put one more test on every full step:
+        # here that made dense real data 4-12% slower at N = 65537.
         it = iter(v)
         if lam is None:
             for x in it:

@@ -495,23 +495,6 @@ def test_registers_that_cancel_on_zero_free_samples():
         polynomial._PROMOTES = promotes
 
 
-def test_generic_counts_in_closed_form():
-    # On dense real data no register is zero after the first steps: the
-    # plain form charges (n-2)*cost(A) mults and 2n-4 adds, Reinsch's form
-    # (n-2)*cost(lam) mults and 3(n-2)+1 adds (the first step is free, and
-    # the second meets s2 = 0 in the plain form).
-    rng = random.Random(29)
-    for n in (3, 4, 10, 205, 4096):
-        v = [rng.uniform(-1, 1) for _ in range(n)]
-        for N, k in ((205, 18), (4096, 1), (4096, 1000), (4096, 2047)):
-            A = BinSpec.for_bin(N, k).A
-            lam = A - 2.0 if A > 0 else A + 2.0
-            for form, const, adds in ((None, A, 2 * n - 4), (lam, lam, 3 * (n - 2) + 1)):
-                rec = OpRecorder()
-                reduce_by_pk(v, A, rec, form)
-                assert rec.counts() == ((n - 2) * algorithms._cost(const), adds), (n, N, k, form)
-
-
 def test_fold_of_zero_free_real_data_whose_sums_cancel():
     # fold tests all(signal) once on real data; a running sum that cancels to
     # 0 (or -0.0 + 0.0) still sends the next block through counter.add.
@@ -558,7 +541,6 @@ def sweep():
     test_counter_without_bulk_gets_the_same_values()
     test_first_step_is_not_replayed()
     test_registers_that_cancel_on_zero_free_samples()
-    test_generic_counts_in_closed_form()
     test_fold_of_zero_free_real_data_whose_sums_cancel()
     test_near_bound_kinds_straddle_the_layout_bound()
     test_bulk_charges_what_add_and_mul_charge()

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dftbin.algorithms import BinSpec, _cost
 from dftbin.complexity import OpRecorder
 from dftbin.cyclotomic import cyclotomic
 from dftbin.polynomial import (int_exact_div, int_mul, reduce_by_intpoly,
@@ -147,12 +148,26 @@ def test_reduce_by_pk_matches_longdiv():
 
 
 def test_reduce_by_pk_multiplication_count():
+    # On dense real data no register is zero after the first steps: the
+    # plain form charges (n-2)*cost(A) mults and 2n-4 adds, Reinsch's form
+    # (n-2)*cost(lam) mults and 3(n-2)+1 adds (the first step is free, the
+    # second meets s2 = 0 in the plain form, and at n = 2 the final add
+    # meets s2 = 0 too).
     rng = random.Random(17)
-    for n in (2, 3, 10, 64):
+    consts = [(3 ** 0.5, None)]
+    for N, k in ((205, 18), (4096, 1), (4096, 1000), (4096, 2047)):
+        A = BinSpec.for_bin(N, k).A
+        consts += [(A, None), (A, A - 2.0 if A > 0 else A + 2.0)]
+    for n in (2, 3, 4, 10, 64, 205, 4096):
         v = [rng.uniform(0.1, 1.0) for _ in range(n)]
-        rec = OpRecorder()
-        reduce_by_pk(v, 3 ** 0.5, rec)
-        assert rec.mults == max(0, n - 2)
+        for A, lam in consts:
+            rec = OpRecorder()
+            reduce_by_pk(v, A, rec, lam)
+            if lam is None:
+                want = ((n - 2) * _cost(A), 2 * n - 4)
+            else:
+                want = ((n - 2) * _cost(lam), 3 * (n - 2) + (n > 2))
+            assert rec.counts() == want, (n, A, lam)
 
 
 def test_ternary_reduction_is_multiplication_free():
