@@ -12,7 +12,10 @@ block. Seven of the default bins have order 205 and one (k = 20) order 41,
 so with "jco" or "jco_goertzel" the block is folded and chained once per
 order, and the other bins of that order reuse the remainder
 (dftbin.algorithms, shared stage); each bin still reports its stand-alone
-counts.
+counts. detect passes every measure() call one tuple of the block's
+samples. The shared stage recognises a tuple it holds by identity alone,
+where any other signal costs a scan of its samples (about 20 ns each), and
+a numpy block would never match: each iteration makes fresh scalars.
 """
 
 import functools
@@ -108,6 +111,7 @@ def detect(block, config: DtmfConfig = DEFAULT_CONFIG,
         raise ValueError(
             f"block must hold {config.block_size} samples, got {len(block)}")
     rows, cols = _tone_bins(config)
+    block = tuple(block)  # one memo key for every bin; see the module docstring
     row_powers = [abs(measure(alg, block, k).value) ** 2 for k in rows]
     col_powers = [abs(measure(alg, block, k).value) ** 2 for k in cols]
     row = _group_winner(row_powers, config.dominance_ratio)

@@ -6,13 +6,17 @@ for the first L samples) with no multiplication, whatever the taps of
 Phi_L. This is the autoregressive filter 1/(1 - z**-L). Since x**L - 1 is
 the product of Phi_d over d | L, it is a multiple of the paper's feedback
 polynomial Phi_L, and the folded sum has the signal's remainder modulo
-Phi_L. push does its add inline and tallies it on the state, with no call
-on the state's recorder. finalize charges the tally to the recorder once,
-then runs the tail of the block "jco" algorithm on the L slots: the chain
-of sparse cyclotomic factors and the evaluation at W. So state.rec shows
-no adds from pushes until finalize. The slots are the sums jco's fold
-forms, added in the same order, and the tally follows OpRecorder.add's
-rule, so the value and counts of "stream" are jco's, bit for bit.
+Phi_L. push does its add inline, with no call on the state's recorder. Its
+tally charges every push past L one add up front and records only how far
+a sum's count differs from that add (a zero operand, or two fully complex
+ones), so the common push, two nonzero real operands, writes nothing on
+the state but its sample count. finalize charges the tally to the
+recorder once, then runs the tail of the block "jco" algorithm on the L
+slots: the chain of sparse cyclotomic factors and the evaluation at W. So
+state.rec shows no adds from pushes until finalize. The slots are the
+sums jco's fold forms, added in the same order, and the tally follows
+OpRecorder.add's rule, so the value and counts of "stream" are jco's, bit
+for bit.
 
 design_filter still designs the paper's filter form, which `dftbin filter`
 exports: the integer feedback taps of Phi_L and totient(L) numerator taps.
@@ -83,22 +87,30 @@ class FilterState:
     reallocates at a few sizes, and those pushes took as long as glibc's
     realloc did.) w is a copy of the filled part: one slot per push over
     the first L samples, then all L. adds is the pushes' tally of real
-    adds, counted as OpRecorder.add would; finalize charges it to rec, so
-    rec shows none of them before then, and push reads and writes nothing
-    on rec. finalized is set by finalize, after which the state takes no
-    more pushes. N and L are copied from spec, because push reads them per
+    adds, counted as OpRecorder.add would: one add per push past L,
+    max(0, n - L) in all, plus deviation, where push records how far a
+    sum's count differs from one add (-1 with a zero operand, +1 for two
+    fully complex ones). So a push with two nonzero real operands writes
+    nothing but samples_consumed. finalize charges adds to rec, so rec
+    shows none of them before then, and push reads and writes nothing on
+    rec. finalized is set by finalize, after which the state takes no more
+    pushes. N and L are copied from spec, because push reads them per
     sample and a slot reads faster than a named tuple's field.
     """
 
-    __slots__ = ("spec", "N", "L", "slots", "samples_consumed", "adds", "rec",
-                 "finalized")
+    __slots__ = ("spec", "N", "L", "slots", "samples_consumed", "deviation",
+                 "rec", "finalized")
 
     def __init__(self, spec: FilterSpec):
         self.spec, self.N, self.L = spec, spec.N, spec.L
         self.slots = [None] * spec.L
-        self.samples_consumed = self.adds = 0
+        self.samples_consumed = self.deviation = 0
         self.rec = OpRecorder()
         self.finalized = False
+
+    @property
+    def adds(self) -> int:
+        return max(0, self.samples_consumed - self.L) + self.deviation
 
     @property
     def w(self) -> list:
@@ -145,27 +157,32 @@ def new_state(spec: FilterSpec) -> FilterState:
 
 def push(state: FilterState, sample) -> FilterState:
     """Feed one sample (arrival order) into slot n mod L: a store for the
-    first L samples, then one add each, tallied in state.adds as
-    OpRecorder.add counts it (a pair of components counts when both are
-    nonzero, NaN included). No multiplications and no recorder call."""
-    n, N, L = state.samples_consumed, state.N, state.L
-    if n >= N:
-        raise ValueError("filter already finalized" if state.finalized
-                         else f"filter already consumed {N} samples; call finalize")
+    first L samples, then one add each. Every push past L is charged one
+    add up front (state.adds); push records in state.deviation only where
+    OpRecorder.add's count differs from one: a pair of components counts
+    when both are nonzero, NaN included. A float sum has real operands, so
+    it deviates (by -1) only when one of them is zero. No multiplications
+    and no recorder call. L divides N, so only an add can overflow N."""
+    n, L = state.samples_consumed, state.L
     w = state.slots
     if n < L:
         w[n] = sample
-    else:
-        i = n % L
-        s = w[i]
-        w[i] = s + sample
-        if type(s) is float and type(sample) is float:
-            if s and sample:
-                state.adds += 1
-        elif s.real and sample.real:
-            state.adds += 2 if s.imag and sample.imag else 1
-        elif s.imag and sample.imag:
-            state.adds += 1
+        state.samples_consumed = n + 1
+        return state
+    if n >= state.N:
+        raise ValueError("filter already finalized" if state.finalized
+                         else f"filter already consumed {state.N} samples; call finalize")
+    i = n % L
+    s = w[i]
+    w[i] = t = s + sample
+    if type(t) is float:
+        if not (s and sample):
+            state.deviation -= 1
+    elif s.real and sample.real:
+        if s.imag and sample.imag:
+            state.deviation += 1
+    elif not (s.imag and sample.imag):
+        state.deviation -= 1
     state.samples_consumed = n + 1
     return state
 

@@ -284,12 +284,15 @@ def per_op_fold(signal, L, counter):
 
 def per_op_push(state, sample):
     """streaming.push with its add through state.rec.add, so the recorder
-    holds the pushes' adds as they happen and state.adds stays 0."""
+    holds the pushes' adds as they happen. state.adds charges every push
+    past L one add up front, so each such push cancels that charge in
+    state.deviation: state.adds stays 0, and finalize counts no add twice."""
     n, L = state.samples_consumed, state.L
     if n < L:
         state.slots[n] = sample
     else:
         state.slots[n % L] = state.rec.add(state.slots[n % L], sample)
+        state.deviation -= 1
     state.samples_consumed = n + 1
 
 

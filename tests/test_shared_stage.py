@@ -12,12 +12,13 @@ import sys
 import threading
 import weakref
 
+import numpy
 import pytest
 
 from dftbin import algorithms
 from dftbin.algorithms import BinSpec, OpRecorder
 from dftbin.complexity import measure
-from dftbin.dtmf import DEFAULT_CONFIG, synthesize
+from dftbin.dtmf import DEFAULT_CONFIG, detect, synthesize
 from test_bulk_counting import signals
 
 TAGS = ("jco", "jco_goertzel")
@@ -119,6 +120,44 @@ def test_int_samples_against_equal_floats_recompute(stages):
     v = [random.Random(8).randint(-2, 2) for _ in range(60)]
     recomputes(stages, v, [float(x) for x in v], 1, 1)
     recomputes(stages, [float(x) for x in v], v, 1, 1)
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The samples _cyclo_stage compared by identity with the memo's."""
+    compared = []
+    is_ = algorithms.is_
+    monkeypatch.setattr(algorithms, "is_", lambda a, b: compared.append(a) or is_(a, b))
+    return compared
+
+
+def test_a_tuple_is_its_own_key(stages, scanned):
+    v = tuple(signals(60)["float"])
+    got = [(alg, k, measure(alg, v, k)) for alg in TAGS for k in range(60)]
+    assert scanned == [] and sorted(stages) == sorted(set(stages))
+    for alg, k, result in got:
+        same(result, stand_alone(alg, v, k), (alg, k))
+    # Another object with the same samples is scanned, then shares.
+    algorithms._STAGE_MEMO = None
+    measure("jco", v, 1)
+    stages.clear()
+    w = list(v)
+    measure("jco_goertzel", w, 1)
+    assert (len(scanned), stages) == (60, [])
+    # A list changed in place is scanned again, up to the changed sample,
+    # and recomputes.
+    w[11] = w[11] * 0.5
+    result = measure("jco", w, 1)
+    assert (len(scanned), stages) == (60 + 12, [60])
+    same(result, stand_alone("jco", w, 1), "in place")
+
+
+def test_detect_scans_no_block(stages, scanned):
+    for block in (synthesize("3", noise_rms=0.1, seed=2), numpy.array(synthesize("#"))):
+        stages.clear()
+        algorithms._STAGE_MEMO = None
+        detect(block, alg="jco_goertzel")
+        assert (scanned, stages) == ([], [205, 41])
 
 
 def test_a_sample_set_in_place_recomputes(stages):

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy
 import pytest
@@ -149,12 +150,18 @@ def test_slots_made_with_the_state():
 
 
 def test_push_limit_enforced():
-    spec = design_filter(4, 1)
-    state = new_state(spec)
-    for sample in (1, 2, 3, 4):
-        push(state, sample)
-    with pytest.raises(ValueError, match="already consumed"):
-        push(state, 5)
+    # A refused push changes nothing: not a slot, and not the tally, which
+    # charges each push past L up front. At (4, 1) L = N; at (8, 2) L = 4.
+    for N, k, v in ((4, 1, (1, 2, 3, 4)), (8, 2, (1.0, 0.0, 3.0, 4.0, 0.5, 2.0, -0.0, 1j))):
+        spec = design_filter(N, k)
+        state = new_state(spec)
+        for sample in v:
+            push(state, sample)
+        slots, adds = repr(state.slots), state.adds
+        for sample in (5.0, 0.0, 1j):
+            with pytest.raises(ValueError, match="already consumed"):
+                push(state, sample)
+            assert (repr(state.slots), state.adds, state.samples_consumed) == (slots, adds, N)
 
 
 def test_finalized_stream_says_so():
@@ -282,6 +289,16 @@ def _tally_signal(case, N):
         plain = _rand_real(rng, N)
     elif case == "int":
         return [rng.randrange(-2, 3) for _ in range(N)]
+    elif case == "fraction":
+        # Fractions sum to Fractions; with floats, to floats.
+        return [Fraction(rng.randrange(-2, 3), 2) if n % 3 else rng.choice([0.0, -0.0, 0.75])
+                for n in range(N)]
+    elif case == "bool":
+        # bool + bool is an int, bool + float a float.
+        return [rng.random() < 0.5 if n % 4 else rng.choice([0.0, 1.5, -0.0]) for n in range(N)]
+    elif case == "int_float":
+        return [rng.randrange(-1, 2) if n % 2 else rng.choice([0.0, -0.0, 2.5, -1.0])
+                for n in range(N)]
     elif case == "numpy":
         return [numpy.float64(x) if n % 3 else numpy.float64(-0.0 if n % 2 else 0.0)
                 for n, x in enumerate(_rand_real(rng, N))]
@@ -297,16 +314,20 @@ def _tally_signal(case, N):
 
 
 @pytest.mark.parametrize("N, k", [(60, 4), (48, 6)])
-@pytest.mark.parametrize("case", ["real", "int", "complex", "turns_complex", "numpy"])
+@pytest.mark.parametrize("case", ["real", "int", "complex", "turns_complex", "numpy",
+                                  "fraction", "bool", "int_float"])
 def test_push_tally_matches_per_op_push(case, N, k):
+    # push charges each add up front and records only the deviations from
+    # it, so the tally must equal the per-op count after every push.
     v = _tally_signal(case, N)
     spec = design_filter(N, k)
     got, want = new_state(spec), new_state(spec)
-    for sample in v:
+    for n, sample in enumerate(v):
         push(got, sample)
         per_op_push(want, sample)
+        assert (got.rec.adds, got.adds, want.adds) == (0, want.rec.adds, 0), n
     assert [repr(s) for s in got.slots] == [repr(s) for s in want.slots]
-    assert (got.rec.mults, got.rec.adds, got.adds) == (0, 0, want.rec.adds)
+    assert got.rec.mults == 0
     got, want = finalize(got, spec), finalize(want, spec)
     assert (repr(got.value), got.counts) == (repr(want.value), want.counts)
     got, want = measure("stream", v, k), jco_bin(v, k)
