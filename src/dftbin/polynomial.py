@@ -30,17 +30,15 @@ are real, so the kernel only tallies the step, and hands the tally to
 that method. A step with a zero operand goes through counter.add and
 counter.mul, but reduce_by_pk's first, free on zero registers. Values are
 the same either way: a counter with only add and mul gets them, without
-the counts of the tallied steps. reduce_by_pk tests a step that follows a
-full one only for the operands it can newly zero: the step before has
-shown the others nonzero (see its docstring).
+the counts of the tallied steps.
 
 reduce_by_pk, the degree-2 stage that Goertzel's algorithm and the
-combined one end in, keeps its registers in floats where they hold exactly
-what complex registers would: one float per register on real samples, a
-real and an imaginary float on complex data. Each layout runs one loop per
-form and sign of A, with the sign written into the adds. A run whose
-registers end in an inf or a NaN is run again on complex registers; the
-function's docstring gives why every loop is exact.
+combined one end in, is defined on float components: its constants are
+real, so it steps the real parts and, on complex data, the imaginary
+parts as two float recursions. It runs them in one loop per form and sign
+of A, on one float per register for a real signal and on a pair for a
+complex one, and tests a step that follows a full one only for the
+operands it can newly zero (see its docstring).
 """
 
 import functools
@@ -57,11 +55,7 @@ __all__ = [
     "reduce_by_pk",
 ]
 
-_imag = attrgetter("imag")
-# Whether a float operand of complex arithmetic is promoted to
-# complex(x, 0.0), as in CPython 3.10-3.13; reduce_by_pk's single float
-# registers rely on it.
-_PROMOTES = repr(1.0 + complex(0.0, -0.0)) == "(1+0j)"
+_real, _imag = attrgetter("real"), attrgetter("imag")
 
 
 def trim(p: list) -> list:
@@ -276,7 +270,9 @@ def reduce_by_intpoly(signal: list, modulus: list[int], counter) -> list:
     of +-c costs 1 exactly when the slot's real part is nonzero; where c
     has two nonzero components, a slot with two costs 2, and any other
     slot goes through counter.add. The taps of magnitude >= 2 go through
-    counter.add and counter.mul.
+    counter.add and counter.mul, a complex c by components: a complex(x,
+    0.0) sample then gives and costs what x does, where a complex product
+    by complex(m, 0.0) turns complex(inf, 0.0) into (inf+nanj).
 
     Returns deg(modulus) coefficients (possibly zero-padded).
     """
@@ -337,27 +333,35 @@ def reduce_by_intpoly(signal: list, modulus: list[int], counter) -> list:
                     rem[j] = add(s, nc)
         for j, neg_mj in other:
             j += base
-            rem[j] = add(rem[j], mul(c, neg_mj))
+            p = (complex(mul(c.real, neg_mj), mul(c.imag, neg_mj)) if isinstance(c, complex)
+                 else mul(c, neg_mj))
+            rem[j] = add(rem[j], p)
     _charge(counter, adds, 1)
     return rem[:deg]
 
 
 def _pk_step(add, mul, x, s1, s2, d, A, lam, sign):
-    # One step of reduce_by_pk through add and mul: the new s1 and d.
+    # One step of reduce_by_pk on one component through add and mul: the
+    # new s1 and d.
     if lam is None:
         return add(add(x, mul(s1, A)), -s2), d
     d = add(add(x, mul(s1, lam)), sign * d)
     return add(sign * s1, d), d
 
 
-def _pk_per_op(signal, v, A, lam, sign, counter):
+def _pk_per_op(x0, v, width, A, lam, sign, counter):
     # reduce_by_pk with every step through counter.add and counter.mul, on
-    # complex registers; v is signal[:0:-1].
+    # the real parts and, at width 2, the imaginary parts; x0 is signal[0]
+    # and v is signal[:0:-1].
     add, mul = counter.add, counter.mul
-    s1 = s2 = d = 0j
-    for x in v:
-        s2, (s1, d) = s1, _pk_step(add, mul, x, s1, s2, d, A, lam, sign)
-    return (add(signal[0], -s2), s1)
+    r0, r1 = [], []
+    for part in (_real, _imag)[:width]:
+        s1 = s2 = d = 0.0
+        for x in map(part, v):
+            s2, (s1, d) = s1, _pk_step(add, mul, x, s1, s2, d, A, lam, sign)
+        r0.append(add(part(x0), -s2))
+        r1.append(s1)
+    return complex(*r0), complex(*r1)
 
 
 def reduce_by_pk(signal: list, A: float, counter,
@@ -375,102 +379,46 @@ def reduce_by_pk(signal: list, A: float, counter,
     amplified by 1/|lam|. It multiplies by lam where the plain form
     multiplies by A, and adds one more add per step.
 
+    The recursion is defined on float components: A and lam are real, so a
+    complex signal's remainder is its real parts' remainder plus j times
+    its imaginary parts', each stepped on float registers from 0.0 and
+    charged what add and mul charge those floats. A signal with no nonzero
+    imaginary part, of any sample type, is real: only its real parts are
+    stepped, and r0 and r1 get a 0.0 imaginary part. So values and counts
+    are the same on every interpreter, and complex(x, +-0.0) samples give
+    what x gives. A register is one float on a real signal (complex-typed
+    samples are first mapped to their real parts) and a pair of floats on
+    a complex one. Each layout runs one loop per form and sign of A, and
+    writes the sign into its adds (t - d for t + (-1)*d).
+
     A step is full when no operand of its adds has a zero component and
     its product is nonzero, or, for a constant of 0 (A = 0, or lam = 0 at
     A = +-2), exactly zero. On real data a full step costs (cost(A), 2) in
     the plain form and (cost(lam), 3) in Reinsch's, one add fewer for a
     constant of 0, and on complex data twice that. Full steps are charged
-    in bulk, the others through counter.add and counter.mul.
+    in bulk. Every other step is computed as a full one, and each
+    component's x, s1, s2 and d are appended to a flat list, replayed after
+    the loop through _pk_step with add and mul but for each component's
+    first step: that one meets s1 = s2 = d = 0 and charges nothing. A
+    constant of 0 turns the product of an inf register into a NaN, which
+    the test below takes for nonzero; such a register stays a NaN, so
+    where the constant is 0 and s1 ends not finite, the call runs again
+    per-op, a component at a time.
 
-    The values and counts are those of complex registers (s1 = s2 = d = 0j)
-    stepped as above, bit for bit; only the layout of the registers is
-    chosen from the input:
-    - Per-op: unless the recursion's own constant (A, or lam +- 2 in
-      Reinsch's form) is at most 2 in magnitude, every step runs through
-      add and mul on complex registers. The 0j layout needs the bound: at
-      A < -2, lam < 0 can give t a -0.0 imaginary part (see below).
-    - Real: no sample has a nonzero imaginary part. Where no sample is
-      complex-typed either, a register is one float: CPython 3.10-3.13
-      promote a float operand of complex arithmetic to complex(x, 0.0),
-      under which complex registers hold a +0.0 imaginary part throughout
-      and, while every value is finite, as real part the float step's
-      result. Otherwise (or on an interpreter that does not promote) the
-      same loop runs on 0j registers.
-    - Split: some sample has a nonzero imaginary part, and a register is
-      a pair of floats. A full step has no zero component, and the cross
-      terms of the complex products, +-0.0 on finite operands, leave each
-      component as the pair computes it. Every other step runs on complex
-      registers rebuilt from the pairs, which keeps the signed zeros of
-      complex arithmetic.
-
-    A slow step is computed as a full one in the real layout, which the
-    arguments above and below show exact for every finite step, and in the
-    split layout by _pk_step's own arithmetic, written out, with x - y for
-    add(x, -y). Either way its operands x, s1, s2 and d are appended to a
-    flat list. After the loop, if s1 is finite, the list is replayed in
-    order, but the first (see below), through _pk_step with add and mul, and
-    the full steps are charged in bulk. Otherwise the list is dropped and
-    the call runs per-op from the start.
-    That rests on one fact: a register that holds an inf or a NaN never
-    holds a finite value again. Every update of s1 adds a multiple of s1
-    (A*s1 in the plain form, +-s1 in Reinsch's), every update of d adds +-d,
-    and a multiple of an inf or a NaN is +-inf or NaN (NaN for a constant of
-    0), as is a sum with one. An inf or a NaN that a step meets, in a
-    sample, a product or a sum, reaches s1 or d in that step, and d reaches
-    s1 (s1 <- +-s1 + d). s2 is an earlier s1, so a finite s1 at the end
-    shows that no step met one, and the layout held exactly the complex
-    registers' values. signal[0] enters only the final add, which every path
-    makes through add. The replay skips the first step, always slow: it
-    meets s1 = s2 = d = 0, so each of its adds and its product has a zero
-    operand and charges nothing under OpRecorder's rule, whatever the sample,
-    layout or form. Its 3 calls (4 in Reinsch's form) come on per-op runs.
-
-    The list holds four slots per slow step and the registers they keep:
-    about 60 bytes in the real plain form, 85 in Reinsch's and 130 in the
-    split layout, against 8 per sample for v. Signals with many exact
-    zeros (zero padding, silence, small integers) are mostly slow steps.
-
-    The last sample is tested first: a nonzero imaginary part there picks
-    the split layout at once. Only other data pay for sum(signal), which
-    tells real-typed samples from complex-typed ones, and complex-typed
-    data also for the scan of their imaginary parts.
-
-    Each layout runs one of three loops, picked by the form and the sign
-    of A: the plain form, Reinsch's form with A > 0, and Reinsch's with
-    A < 0. Its steps that are not slow are full. A step that follows a
-    full step is tested only for the zeros it can newly meet, by
-    x and t and (m or zero and s2) in the plain form and
+    A step that follows a full step is tested only for the zeros it can
+    newly meet, by x and t and (m or zero and s2) in the plain form and
     x and t and dn and (m or zero and s1) in Reinsch's (per component in
-    the split layout), where m is the product s1*A or s1*lam. The step
+    the pair layout), where m is the product s1*A or s1*lam. The step
     before witnesses the rest:
     - s2 is the s1 of the step before, whose product m that step found
       nonzero, and a product is zero where s1 is;
     - d is the dn of the step before, which that step tested;
     - a nonzero constant makes m witness s1; a constant of 0 witnesses
       nothing, so the `zero and` branch tests s2 (s1) again.
-    After a slow step these witnesses do not hold, and the steps that
-    follow take the full test, which adds s2 (d) to the one above, until
-    one passes: the real layouts run them in an inner loop on the same
-    iterator, the split layout clears a flag. The first step, and the
-    second in the plain form, meet zero registers and fail either test,
-    so no step passes the short test without a full step before it.
-    Where an operand is an inf or a NaN (inf*0 is NaN), a test may pass
-    a step that is not full; such a run ends with s1 not finite and is
-    rerun per-op (see above).
-
-    Every Reinsch loop writes the sign into its adds, t + d and s1 + dn
-    for A > 0, t - d and dn - s1 for A < 0, where the per-op step
-    multiplies by +-1. That is exact in every layout:
-    - on floats and pairs, 1.0*d is d, and x - y is x + (-y);
-    - on 0j registers in Reinsch's form, d, s1 and s2 always hold a +0.0
-      imaginary part: each update adds a term whose imaginary part is
-      +0.0 (+-0.0 + +0.0 is +0.0), and for A < 0, where lam >= 0, t holds
-      one too. A product by +-1.0 then has the real part of +-d, and the
-      add leaves +0.0 as imaginary part either way;
-    - without promotion (CPython 3.14), +-1.0*z is +-z by components.
-    _pk_step keeps the product: on a per-op run a register may be
-    infinite, and -1.0 * complex(inf, 0.0) is (-inf+nanj), not
-    -complex(inf, 0.0).
+    After a step that is not full these witnesses do not hold, and the
+    steps that follow take the full test, which adds s2 (d) to the one
+    above, until one passes: the float layout runs them in an inner loop
+    on the same iterator, the pair layout clears a flag.
     """
     n = len(signal)
     if n == 0:
@@ -481,17 +429,17 @@ def reduce_by_pk(signal: list, A: float, counter,
     const = A if lam is None else lam
     zero = not const
     v = signal[:0:-1]
-    if abs(const if lam is None else lam + 2 * sign) > 2:
-        return _pk_per_op(signal, v, A, lam, sign, counter)
-    slow = []  # x, s1, s2, d of each slow step, four slots each
+    slow = []  # x, s1, s2, d of each component of each slow step
     # Generic complex data skip the sum: their last sample decides.
     if not signal[-1].imag and (not (typed := isinstance(sum(signal), complex))
                                 or _is_real(signal)):
         width = 1
-        s1 = s2 = d = 0.0 if _PROMOTES and not typed else 0j
+        if typed:
+            v = list(map(_real, v))
+        s1 = s2 = d = 0.0
         # A slow step's inner loop runs the full test until a step passes;
         # it leaves that step's update to the outer loop's last line. The
-        # split layout's flag would put one more test on every full step:
+        # pair layout's flag would put one more test on every full step:
         # here that made dense real data 4-12% slower at N = 65537.
         it = iter(v)
         if lam is None:
@@ -540,7 +488,6 @@ def reduce_by_pk(signal: list, A: float, counter,
                             break
                         slow += x, s1, s2, d
                 s2, s1, d = s1, dn - s1, dn
-        s1, s2 = complex(s1), complex(s2)
     else:
         width = 2
         s1r = s1i = s2r = s2i = dr = di = 0.0
@@ -552,57 +499,48 @@ def reduce_by_pk(signal: list, A: float, counter,
                 xr, xi = z.real, z.imag
                 mr, mi = s1r * A, s1i * A
                 tr, ti = xr + mr, xi + mi
-                if (xr and xi and tr and ti and (mr and mi or zero and s2r and s2i)
+                if not (xr and xi and tr and ti and (mr and mi or zero and s2r and s2i)
                         and (full or (full := s2r and s2i))):
-                    s2r, s1r = s1r, tr - s2r
-                    s2i, s1i = s1i, ti - s2i
-                else:
                     full = False
-                    s1, s2, d = complex(s1r, s1i), complex(s2r, s2i), complex(dr, di)
-                    slow += z, s1, s2, d
-                    s1 = z + s1 * A - s2
-                    s2r, s2i, s1r, s1i = s1r, s1i, s1.real, s1.imag
+                    slow += xr, s1r, s2r, dr, xi, s1i, s2i, di
+                s2r, s1r = s1r, tr - s2r
+                s2i, s1i = s1i, ti - s2i
         elif sign > 0:
             for z in v:
                 xr, xi = z.real, z.imag
                 mr, mi = s1r * lam, s1i * lam
                 tr, ti = xr + mr, xi + mi
                 dnr, dni = tr + dr, ti + di
-                if (xr and xi and tr and ti and dnr and dni and (mr and mi or zero and s1r and s1i)
+                if not (xr and xi and tr and ti and dnr and dni
+                        and (mr and mi or zero and s1r and s1i)
                         and (full or (full := dr and di))):
-                    s2r, s1r, dr = s1r, s1r + dnr, dnr
-                    s2i, s1i, di = s1i, s1i + dni, dni
-                else:
                     full = False
-                    s1, s2, d = complex(s1r, s1i), complex(s2r, s2i), complex(dr, di)
-                    slow += z, s1, s2, d
-                    d = z + s1 * lam + sign * d
-                    s1 = sign * s1 + d
-                    s2r, s2i, s1r, s1i, dr, di = s1r, s1i, s1.real, s1.imag, d.real, d.imag
+                    slow += xr, s1r, s2r, dr, xi, s1i, s2i, di
+                s2r, s1r, dr = s1r, s1r + dnr, dnr
+                s2i, s1i, di = s1i, s1i + dni, dni
         else:
             for z in v:
                 xr, xi = z.real, z.imag
                 mr, mi = s1r * lam, s1i * lam
                 tr, ti = xr + mr, xi + mi
                 dnr, dni = tr - dr, ti - di
-                if (xr and xi and tr and ti and dnr and dni and (mr and mi or zero and s1r and s1i)
+                if not (xr and xi and tr and ti and dnr and dni
+                        and (mr and mi or zero and s1r and s1i)
                         and (full or (full := dr and di))):
-                    s2r, s1r, dr = s1r, dnr - s1r, dnr
-                    s2i, s1i, di = s1i, dni - s1i, dni
-                else:
                     full = False
-                    s1, s2, d = complex(s1r, s1i), complex(s2r, s2i), complex(dr, di)
-                    slow += z, s1, s2, d
-                    d = z + s1 * lam + sign * d
-                    s1 = sign * s1 + d
-                    s2r, s2i, s1r, s1i, dr, di = s1r, s1i, s1.real, s1.imag, d.real, d.imag
+                    slow += xr, s1r, s2r, dr, xi, s1i, s2i, di
+                s2r, s1r, dr = s1r, dnr - s1r, dnr
+                s2i, s1i, di = s1i, dni - s1i, dni
         s1, s2 = complex(s1r, s1i), complex(s2r, s2i)
-    if not isfinite(s1):
-        return _pk_per_op(signal, v, A, lam, sign, counter)
-    add, mul, step = counter.add, counter.mul, _pk_step
-    it = islice(slow, 4, None)  # the first step, always slow, charges nothing
+    x0 = signal[0]
+    if zero and not isfinite(s1):  # a product may have been inf*0
+        return _pk_per_op(x0, v, width, A, lam, sign, counter)
+    add, mul = counter.add, counter.mul
+    it = islice(slow, 4 * width, None)  # each component's first step charges nothing
     for x, r1, r2, rd in zip(it, it, it, it):
-        step(add, mul, x, r1, r2, rd, A, lam, sign)
-    _charge(counter, n - 1 - len(slow) // 4, (2 - zero if lam is None else 3 - zero) * width,
-            const, width)
-    return (add(signal[0], -s2), s1)
+        _pk_step(add, mul, x, r1, r2, rd, A, lam, sign)
+    _charge(counter, n - 1 - len(slow) // (4 * width),
+            (2 - zero if lam is None else 3 - zero) * width, const, width)
+    if width == 1:
+        return complex(add(x0.real, -s2)), complex(s1)
+    return complex(add(x0.real, -s2.real), add(x0.imag, -s2.imag)), s1

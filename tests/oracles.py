@@ -297,7 +297,8 @@ def per_op_push(state, sample):
 
 
 def per_op_reduce_by_intpoly(signal, modulus, counter):
-    """reduce_by_intpoly with every tap through counter.add and counter.mul."""
+    """reduce_by_intpoly with every tap through counter.add and counter.mul,
+    a complex value multiplied by a tap of magnitude >= 2 by components."""
     modulus = list(modulus)
     while modulus and modulus[-1] == 0:
         modulus.pop()
@@ -316,6 +317,8 @@ def per_op_reduce_by_intpoly(signal, modulus, counter):
                 term = c
             elif neg_mj == -1:
                 term = -c
+            elif isinstance(c, complex):
+                term = complex(counter.mul(c.real, neg_mj), counter.mul(c.imag, neg_mj))
             else:
                 term = counter.mul(c, neg_mj)
             rem[base + j] = counter.add(rem[base + j], term)
@@ -323,28 +326,35 @@ def per_op_reduce_by_intpoly(signal, modulus, counter):
 
 
 def per_op_reduce_by_pk(signal, A, counter, lam=None):
-    """reduce_by_pk with every step through counter.add and counter.mul."""
+    """reduce_by_pk with every step through counter.add and counter.mul, on
+    float components: the real parts alone where no sample has a nonzero
+    imaginary part (the remainder's is then 0.0), else the real parts and
+    the imaginary parts, each from registers of 0.0."""
     n = len(signal)
     if n == 0:
         return (0j, 0j)
     if n == 1:
         return (signal[0], 0j)
-    s1 = 0j
-    s2 = 0j
-    if lam is None:
-        for i in range(n - 1, 0, -1):
-            s0 = counter.add(counter.add(signal[i], counter.mul(s1, A)), -s2)
-            s2 = s1
-            s1 = s0
-    else:
-        sign = 1 if A > 0 else -1
-        d = 0j
-        for i in range(n - 1, 0, -1):
-            d = counter.add(counter.add(signal[i], counter.mul(s1, lam)), sign * d)
-            s2 = s1
-            s1 = counter.add(sign * s1, d)
-    r0 = counter.add(signal[0], -s2)
-    return (r0, s1)
+    parts = [[z.real for z in signal]]
+    if any(z.imag for z in signal):
+        parts.append([z.imag for z in signal])
+    r0, r1 = [], []
+    for p in parts:
+        s1 = s2 = d = 0.0
+        if lam is None:
+            for i in range(n - 1, 0, -1):
+                s0 = counter.add(counter.add(p[i], counter.mul(s1, A)), -s2)
+                s2 = s1
+                s1 = s0
+        else:
+            sign = 1 if A > 0 else -1
+            for i in range(n - 1, 0, -1):
+                d = counter.add(counter.add(p[i], counter.mul(s1, lam)), sign * d)
+                s2 = s1
+                s1 = counter.add(sign * s1, d)
+        r0.append(counter.add(p[0], -s2))
+        r1.append(s1)
+    return (complex(*r0), complex(*r1))
 
 
 def per_op_eval(R, spec, counter):

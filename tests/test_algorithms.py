@@ -519,16 +519,26 @@ def test_goertzel_plain_below_reinsch_threshold():
             assert res.counts == rec.counts(), (N, k)
 
 
-@pytest.mark.parametrize("N,k", [(1, 0), (2, 1), (8, 3), (12, 5), (105, 2), (205, 18)])
+@pytest.mark.parametrize("N,k", [(1, 0), (2, 1), (8, 3), (12, 5), (105, 2), (105, 52),
+                                 (205, 18)])
 def test_numpy_and_int_samples_give_a_python_complex(N, k):
-    # numpy.complex128, numpy.float64 and int samples against the same
-    # samples as Python complex or float: the value is a Python complex,
-    # with the same repr and the same counts, for every tag.
+    # numpy.complex128, numpy.float64, int and complex-typed real samples
+    # against the same samples as Python complex or float: the value is a
+    # Python complex, with the same repr and the same counts, for every tag.
+    # The goertzel stage runs the plain form at (8, 3), (12, 5) and
+    # (205, 18), and Reinsch's with A > 0 at (105, 2) and with A < 0 at
+    # (105, 52) and (2, 1). At L = 105 the chain has a tap of magnitude 2,
+    # which the 0 and +-1e308 samples overflow to inf there.
     rng = random.Random(N)
     cx, re = _rand_complex(rng, N), _rand_real(rng, N)
     ints = [rng.randint(-3, 3) for _ in range(N)]
+    big = [rng.choice((0.0, 1e308, -1e308)) for _ in range(N)]
     cases = {"complex128": (list(np.array(cx)), cx), "float64": (list(np.array(re)), re),
              "int": (ints, [float(x) for x in ints])}
+    for name, v in (("real", re), ("overflow", big)):
+        # At N = 1 the bin is the sample itself, signed zero and all.
+        for zero in (0.0, -0.0) if N > 1 else ():
+            cases[f"complex({name}, {zero})"] = ([complex(x, zero) for x in v], v)
     for tag in ALGORITHMS:
         for kind, (v, same) in cases.items():
             got, want = measure(tag, v, k), measure(tag, same, k)

@@ -6,9 +6,8 @@ small integers (real and complex, with cancellations), exact and signed
 zeros, complex-typed real samples (all of them, or some among floats),
 samples on both sides of and far above reduce_by_pk's former layout bound,
 single inf and NaN samples, and 1e308 samples whose registers overflow to
-inf and NaN. reduce_by_pk is also checked with polynomial._PROMOTES patched
-false, so real signals take the 0j registers of an interpreter that does
-not promote a float operand to complex.
+inf and NaN. reduce_by_pk's oracle steps float components, as the kernel
+does, so the comparison holds on every interpreter.
 
 Runs under pytest, or as a plain script on an interpreter without pytest:
 
@@ -20,7 +19,7 @@ import itertools
 import math
 import random
 
-from dftbin import algorithms, polynomial
+from dftbin import algorithms
 from dftbin.algorithms import BinSpec, OpRecorder, _cyclo_reduce, _eval_remainder
 from dftbin.complexity import ALGORITHMS, measure
 from dftbin.cyclotomic import cyclotomic
@@ -37,7 +36,7 @@ def straddle(v):
     """v scaled so that len(v) * sum|v| sits just below reduce_by_pk's former
     layout bound, 1e300, at odd length and just above it at even length.
     Outside that bound the kernel used to step complex registers; it now
-    checks its registers for an inf or a NaN after the float loop."""
+    runs its float loops on both sides."""
     n = len(v)
     scale = 1e300 * (1 - 1e-9 if n % 2 else 1 + 1e-9) / (n * sum(map(abs, v)))
     return [x * scale for x in v]
@@ -110,42 +109,36 @@ def pk_signals(N):
 
 def check_pk_past_former_bound(N) -> int:
     """reduce_by_pk on pk_signals(N) at bins 0, 1, 2, 7, N/4, N/2 and N - 1
-    (those below N), in both forms, with polynomial._PROMOTES as found and
-    patched false: repr and counts against per_op_reduce_by_pk, and repr
-    through an AddMulOnly counter. Registers stay finite above the bound,
-    and from N = 4 the float loop charges some steps in bulk;
-    where a sample the loop reads is not finite, the counter gets exactly
-    the per-op run's calls, so no slow step of the discarded float run is
-    charged."""
+    (those below N), in both forms: repr and counts against
+    per_op_reduce_by_pk, and repr through an AddMulOnly counter. Registers
+    stay finite above the bound. From N = 4 the float loops charge some
+    steps in bulk, so the counter gets fewer calls than the per-op run,
+    except where a constant of 0 meets a register that is not finite: there
+    the call runs per-op, and the counter gets exactly its calls, so no
+    slow step of the discarded loop is charged."""
     cases = 0
     data = pk_signals(N)
-    promotes = polynomial._PROMOTES
-    try:
-        for flag in {promotes, False}:
-            polynomial._PROMOTES = flag
-            for k in {0, 1, 2, 7, N // 4, N // 2, N - 1} & set(range(N)):
-                A = BinSpec.for_bin(N, k).A
-                for kind, v in data.items():
-                    # lam as reduce_by_pk reads the sign of A, so that the
-                    # recursion's constant is A: at A = 0.0, lam = 2.0.
-                    for form in (None, A - 2.0 if A > 0 else A + 2.0):
-                        what = ("pk", N, k, kind, form, flag)
-                        got_rec, want_rec = OpRecorder(), OpRecorder()
-                        want = per_op_reduce_by_pk(v, A, want_rec, form)
-                        _same(what, reduce_by_pk(v, A, got_rec, form), want, got_rec, want_rec)
-                        got_calls, want_calls = AddMulOnly(), AddMulOnly()
-                        got = reduce_by_pk(v, A, got_calls, form)
-                        per_op_reduce_by_pk(v, A, want_calls, form)
-                        assert repr(got) == repr(want), what
-                        if kind.startswith("above_bound"):
-                            assert all(map(cmath.isfinite, got)), what
-                            # The float loop ran: its full steps made no call.
-                            assert N < 4 or got_calls.calls < want_calls.calls, what
-                        elif not kind.startswith(("inf_at_0", "nan_at_0")):
-                            assert got_calls.calls == want_calls.calls, what
-                        cases += 1
-    finally:
-        polynomial._PROMOTES = promotes
+    for k in {0, 1, 2, 7, N // 4, N // 2, N - 1} & set(range(N)):
+        A = BinSpec.for_bin(N, k).A
+        for kind, v in data.items():
+            # lam as reduce_by_pk reads the sign of A, so that the
+            # recursion's constant is A: at A = 0.0, lam = 2.0.
+            for form in (None, A - 2.0 if A > 0 else A + 2.0):
+                what = ("pk", N, k, kind, form)
+                got_rec, want_rec = OpRecorder(), OpRecorder()
+                want = per_op_reduce_by_pk(v, A, want_rec, form)
+                _same(what, reduce_by_pk(v, A, got_rec, form), want, got_rec, want_rec)
+                got_calls, want_calls = AddMulOnly(), AddMulOnly()
+                got = reduce_by_pk(v, A, got_calls, form)
+                per_op_reduce_by_pk(v, A, want_calls, form)
+                assert repr(got) == repr(want), what
+                if kind.startswith("above_bound"):
+                    assert all(map(cmath.isfinite, got)), what
+                if (A if form is None else form) == 0 and not cmath.isfinite(got[1]):
+                    assert got_calls.calls == want_calls.calls, what
+                else:
+                    assert N < 4 or got_calls.calls < want_calls.calls, what
+                cases += 1
     return cases
 
 
@@ -163,30 +156,20 @@ def _same(what, got, want, got_rec, want_rec):
 def check_pk(N) -> int:
     """reduce_by_pk at every bin of bins(N): the plain form, and Reinsch's
     form with lam = A -+ 2 (lam = 0 at A = +-2, and lam = 2 at A = 0,
-    which reduce_by_pk reads as negative), on every input kind, with
-    polynomial._PROMOTES as found and patched false. An interpreter that
-    does not promote a float operand of complex arithmetic (CPython 3.14)
-    runs real signals on 0j registers, as this one does with it false."""
+    which reduce_by_pk reads as negative), on every input kind."""
     cases = 0
     data = signals(N)
-    promotes = polynomial._PROMOTES
-    try:
-        for flag in {promotes, False}:
-            polynomial._PROMOTES = flag
-            for k in bins(N):
-                spec = BinSpec.for_bin(N, k)
-                A = spec.A
-                lam = A - 2.0 if A > 0 else A + 2.0
-                for kind, v in data.items():
-                    for form in (None, lam):
-                        got_rec, want_rec = OpRecorder(), OpRecorder()
-                        got = reduce_by_pk(v, A, got_rec, form)
-                        want = per_op_reduce_by_pk(v, A, want_rec, form)
-                        _same(("pk", N, k, kind, form, flag),
-                              got, want, got_rec, want_rec)
-                        cases += 1
-    finally:
-        polynomial._PROMOTES = promotes
+    for k in bins(N):
+        spec = BinSpec.for_bin(N, k)
+        A = spec.A
+        lam = A - 2.0 if A > 0 else A + 2.0
+        for kind, v in data.items():
+            for form in (None, lam):
+                got_rec, want_rec = OpRecorder(), OpRecorder()
+                got = reduce_by_pk(v, A, got_rec, form)
+                want = per_op_reduce_by_pk(v, A, want_rec, form)
+                _same(("pk", N, k, kind, form), got, want, got_rec, want_rec)
+                cases += 1
     return cases
 
 
@@ -327,8 +310,9 @@ def test_cyclotomic_stage_bulk_equals_per_op_large_n():
 
 
 def test_infinite_register_with_a_zero_imaginary_part():
-    # The last two samples leave s1 = (inf, 0) and s2 = (1, 1): mul charges
-    # s1 as a real value, though s1 * A has a NaN imaginary part.
+    # The last two samples leave the real parts' s1 at inf, and the
+    # imaginary parts' at 0 with s2 = 1: each component is charged on its
+    # own, where a complex s1 * A would have a NaN imaginary part.
     for A in (1.3, -0.7):
         v = [1 + 1j] * 6 + [complex(math.inf, -A), 1 + 1j]
         for lam in (None, A - 2.0 if A > 0 else A + 2.0):
@@ -339,10 +323,10 @@ def test_infinite_register_with_a_zero_imaginary_part():
 
 def test_signed_zeros_of_short_signals():
     # Every pattern of real-part signs, zero imaginary-part signs and sample
-    # types up to length 4. A signed zero that complex arithmetic flips at
-    # one step often washes out at the next, so short signals show each one:
-    # float registers fed [0.3+0j, 0.5-0j, -1+0j] at A = -0.7 end in s1 =
-    # 1.2+0j, where complex registers hold 1.2-0j.
+    # types up to length 4. A signed zero that one step flips often washes
+    # out at the next, so short signals show each one: complex registers fed
+    # [0.3+0j, 0.5-0j, -1+0j] at A = -0.7 end in s1 = 1.2-0j, where the
+    # real parts' float registers give 1.2+0j.
     samples = [0.5, -0.75, complex(0.5, 0.0), complex(0.5, -0.0), complex(-0.75, 0.0),
                complex(-0.75, -0.0)]
     for n in range(2, 5):
@@ -387,68 +371,69 @@ def test_counter_without_bulk_gets_the_same_values():
 
 def test_first_step_is_not_replayed():
     # reduce_by_pk replays its slow steps through add and mul, but not the
-    # first: it meets s1 = s2 = d = 0 and charges nothing. Each layout runs
-    # on a dense body and on one whose every step is slow (x has a zero
-    # component), in every form, with each kind of last sample.
+    # first of each component: it meets s1 = s2 = d = 0 and charges
+    # nothing. Real floats, complex-typed real samples and complex data
+    # each run on a dense body and on one whose every step is slow (x has
+    # a zero component), in every form, with each kind of last sample.
     # Values and counts equal the per-op run's; an AddMulOnly counter gets
-    # one step's calls (3 in the plain form, 4 in Reinsch's) fewer than
-    # the per-op run on the all-slow body where the registers stay finite,
-    # and all of them where the call reruns per-op.
+    # one step's calls per component (3 in the plain form, 4 in Reinsch's)
+    # fewer than the per-op run on the all-slow body, and all of them where
+    # a constant of 0 meets a register that is not finite and the call
+    # reruns per-op.
     rng = random.Random(27)
     dense = [rng.uniform(-1, 1) for _ in range(12)]
-    bodies = {  # layout: (dense body, all-slow body, _PROMOTES)
-        "float": (dense, [0.0] * 12, polynomial._PROMOTES),
-        "0j": (dense, [0.0] * 12, False),
-        "split": ([complex(x, -x / 3) for x in dense], [0.5j] * 12, polynomial._PROMOTES),
+    bodies = {  # input kind: (dense body, all-slow body)
+        "float": (dense, [0.0] * 12),
+        "complex_typed_real": ([complex(x, -0.0) for x in dense], [0j] * 12),
+        "complex": ([complex(x, -x / 3) for x in dense], [0.5j] * 12),
     }
     lasts = (0.0, -0.0, 1e308, math.nan, math.inf, complex(0.5, 0.0), complex(0.0, -0.75))
     forms = ((1.3, None), (-0.7, None), (0.0, None),  # plain, and a constant of 0
              (1.9, 1.9 - 2.0), (-1.9, -1.9 + 2.0), (2.0, 0.0), (-2.0, 0.0))  # Reinsch's
-    promotes, finite = polynomial._PROMOTES, set()
-    try:
-        for layout, (body, slow, flag) in bodies.items():
-            polynomial._PROMOTES = flag
-            for last, (A, lam), all_slow in itertools.product(lasts, forms, (False, True)):
-                v = (slow if all_slow else body)[:-1] + [last]
-                what = (layout, last, A, lam, all_slow)
-                got_rec, want_rec = OpRecorder(), OpRecorder()
-                got = reduce_by_pk(v, A, got_rec, lam)
-                _same(what, got, per_op_reduce_by_pk(v, A, want_rec, lam), got_rec, want_rec)
-                got_calls, want_calls = AddMulOnly(), AddMulOnly()
-                assert repr(reduce_by_pk(v, A, got_calls, lam)) == repr(got), what
-                per_op_reduce_by_pk(v, A, want_calls, lam)
-                if all_slow:
-                    step = (3 if lam is None else 4) if cmath.isfinite(got[1]) else 0
-                    assert got_calls.calls == want_calls.calls - step, what
-                    finite.add(step > 0)
-    finally:
-        polynomial._PROMOTES = promotes
-    assert finite == {True, False}
+    reruns = set()
+    for kind, (body, slow) in bodies.items():
+        for last, (A, lam), all_slow in itertools.product(lasts, forms, (False, True)):
+            v = (slow if all_slow else body)[:-1] + [last]
+            what = (kind, last, A, lam, all_slow)
+            got_rec, want_rec = OpRecorder(), OpRecorder()
+            got = reduce_by_pk(v, A, got_rec, lam)
+            _same(what, got, per_op_reduce_by_pk(v, A, want_rec, lam), got_rec, want_rec)
+            got_calls, want_calls = AddMulOnly(), AddMulOnly()
+            assert repr(reduce_by_pk(v, A, got_calls, lam)) == repr(got), what
+            per_op_reduce_by_pk(v, A, want_calls, lam)
+            if all_slow:
+                rerun = (A if lam is None else lam) == 0 and not cmath.isfinite(got[1])
+                width = 2 if any(z.imag for z in v) else 1
+                step = 0 if rerun else (3 if lam is None else 4) * width
+                assert got_calls.calls == want_calls.calls - step, what
+                reruns.add(rerun)
+    assert reruns == {True, False}
 
 
-def _zero_operands(v, A, lam, width):
-    """Per step of reduce_by_pk on complex registers, the names of its
-    operands that charge no add: a zero real part, or at width 2 (complex
-    data) a zero component. A product by a constant of 0 charges nothing,
-    so m is then left out; a nonzero constant charges s1 where m is
-    nonzero."""
+def _zero_operands(v, A, lam):
+    """Per step of reduce_by_pk, the names of its operands that charge no
+    add: a zero in the real parts' recursion, or, where some sample has a
+    nonzero imaginary part, in either component's. A product by a constant
+    of 0 charges nothing, so m is then left out; a nonzero constant charges
+    s1 where m is nonzero."""
     sign, const = (1 if A > 0 else -1), (A if lam is None else lam)
-    zero = (lambda z: not z.real) if width == 1 else (lambda z: not (z.real and z.imag))
-    s1 = s2 = d = 0j
-    steps = []
-    for x in v[:0:-1]:
-        m = s1 * const
-        t = x + m
-        if lam is None:
-            ops = {"x": x, "t": t, "s2": s2}
-            s2, s1 = s1, t - s2
-        else:
-            dn = t + sign * d
-            ops = {"x": x, "t": t, "d": d, "dn": dn, "s1": s1}
-            s2, s1, d = s1, sign * s1 + dn, dn
-        if const:
-            ops["m"] = m
-        steps.append({name for name, z in ops.items() if zero(z)})
+    parts = [[z.real for z in v]] + ([[z.imag for z in v]] if any(z.imag for z in v) else [])
+    steps = [set() for _ in v[1:]]
+    for p in parts:
+        s1 = s2 = d = 0.0
+        for x, zeros in zip(p[:0:-1], steps):
+            m = s1 * const
+            t = x + m
+            if lam is None:
+                ops = {"x": x, "t": t, "s2": s2}
+                s2, s1 = s1, t - s2
+            else:
+                dn = t + sign * d
+                ops = {"x": x, "t": t, "d": d, "dn": dn, "s1": s1}
+                s2, s1, d = s1, sign * s1 + dn, dn
+            if const:
+                ops["m"] = m
+            zeros.update(name for name, y in ops.items() if not y)
     return steps
 
 
@@ -463,36 +448,32 @@ def test_registers_that_cancel_on_zero_free_samples():
     rng = random.Random(28)
     odd = (-3.0, -1.0, 1.0, 3.0)
     forms = ((1.0, None), (-1.0, None), (1.0, -1.0), (-1.0, 1.0), (2.0, 0.0), (-2.0, 0.0))
-    layouts = {  # layout: (sample, _PROMOTES)
-        "float": (lambda: rng.choice(odd), polynomial._PROMOTES),
-        "0j": (lambda: rng.choice(odd), False),
-        "split": (lambda: complex(rng.choice(odd), rng.choice(odd)), polynomial._PROMOTES),
+    kinds = {  # input kind: (sample, components)
+        "float": (lambda: rng.choice(odd), 1),
+        "complex_typed_real": (lambda: complex(rng.choice(odd), rng.choice((0.0, -0.0))), 1),
+        "complex": (lambda: complex(rng.choice(odd), rng.choice(odd)), 2),
     }
-    promotes = polynomial._PROMOTES
-    try:
-        for layout, (sample, flag) in layouts.items():
-            polynomial._PROMOTES = flag
-            for A, lam in forms:
-                after_slow = 0
-                for _ in range(200):
-                    v = [sample() for _ in range(40)]
-                    what = (layout, A, lam, v)
-                    got_rec, want_rec = OpRecorder(), OpRecorder()
-                    got = reduce_by_pk(v, A, got_rec, lam)
-                    _same(what, got, per_op_reduce_by_pk(v, A, want_rec, lam), got_rec, want_rec)
-                    calls = AddMulOnly()
-                    assert repr(reduce_by_pk(v, A, calls, lam)) == repr(got), what
-                    zeros = _zero_operands(v, A, lam, 2 if layout == "split" else 1)
-                    # Each slow step but the first, always slow and free,
-                    # makes 3 calls (4 in Reinsch's form), the final add 1.
-                    slow = sum(map(bool, zeros))
-                    assert calls.calls == (slow - 1) * (3 if lam is None else 4) + 1, what
-                    only = {"s2"} if lam is None else {"d"}
-                    after_slow += sum(now == only for before, now in zip(zeros, zeros[1:])
-                                      if before)
-                assert after_slow, (layout, A, lam)
-    finally:
-        polynomial._PROMOTES = promotes
+    for kind, (sample, width) in kinds.items():
+        for A, lam in forms:
+            after_slow = 0
+            for _ in range(200):
+                v = [sample() for _ in range(40)]
+                what = (kind, A, lam, v)
+                got_rec, want_rec = OpRecorder(), OpRecorder()
+                got = reduce_by_pk(v, A, got_rec, lam)
+                _same(what, got, per_op_reduce_by_pk(v, A, want_rec, lam), got_rec, want_rec)
+                calls = AddMulOnly()
+                assert repr(reduce_by_pk(v, A, calls, lam)) == repr(got), what
+                zeros = _zero_operands(v, A, lam)
+                # Each slow step but the first, always slow and free, makes
+                # 3 calls (4 in Reinsch's form) per component, and the
+                # final add 1 per component.
+                slow = sum(map(bool, zeros))
+                assert calls.calls == ((slow - 1) * (3 if lam is None else 4) + 1) * width, what
+                only = {"s2"} if lam is None else {"d"}
+                after_slow += sum(now == only for before, now in zip(zeros, zeros[1:])
+                                  if before)
+            assert after_slow, (kind, A, lam)
 
 
 def test_fold_of_zero_free_real_data_whose_sums_cancel():
